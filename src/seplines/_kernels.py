@@ -1,18 +1,15 @@
-"""Hot numeric kernels: batched line-side evaluation over point sets.
-
-Each kernel exists twice: a numba ``@njit`` version and a pure-numpy
-version. Set ``SEPLINES_NO_NUMBA=1`` to force the numpy path (used by the
-benchmark in benchmarks/bench_kernels.py and as a fallback when numba is
-unavailable).
+"""Hot numeric kernels: batched line-side evaluation over point sets, in
+numpy.
 
 Kernels work in floating point and report *uncertain* entries whose
 magnitude falls under a conservative rounding-error bound; callers must
 escalate those entries to exact integer arithmetic. Certain entries are
-guaranteed to carry the true sign.
+guaranteed to carry the true sign as long as every input is 0 or a normal
+double of magnitude within 2^-400..2^400, so that no product underflows.
+Callers mark inputs outside that range as NaN (see ``sepsys.float_array``);
+every entry involving a NaN is reported uncertain.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -25,66 +22,24 @@ EPS_FACTOR = 2.0 ** -45
 HASH_MULT_1 = 0x9E3779B97F4A7C15
 HASH_MULT_2 = 0xC2B2AE3D27D4EB4F
 
-_FORCE_NUMPY = os.environ.get("SEPLINES_NO_NUMBA", "") not in ("", "0")
-
-try:  # pragma: no cover - exercised via env flag in tests
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled via SEPLINES_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 def backend() -> str:
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel backend."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# sign matrix
+def _as_f64(*arrays):
+    return (np.ascontiguousarray(v, dtype=np.float64) for v in arrays)
 
 
-def _np_eval_signs(A, B, C, X, Y):
+def _signs(A, B, C, X, Y):
     vals = np.outer(X, A) + np.outer(Y, B) + C[None, :]
     err = np.outer(np.abs(X), np.abs(A)) + np.outer(np.abs(Y), np.abs(B))
     err = (err + np.abs(C)[None, :]) * EPS_FACTOR
-    signs = np.sign(vals).astype(np.int8)
-    uncertain = np.abs(vals) <= err
-    signs[uncertain] = 0
-    return signs, uncertain
-
-
-@njit(cache=True)
-def _nb_eval_signs(A, B, C, X, Y):  # pragma: no cover - thin numba twin
-    n = X.shape[0]
-    m = A.shape[0]
-    signs = np.zeros((n, m), dtype=np.int8)
-    uncertain = np.zeros((n, m), dtype=np.bool_)
-    for i in range(n):
-        x = X[i]
-        y = Y[i]
-        for j in range(m):
-            ax = A[j] * x
-            by = B[j] * y
-            v = ax + by + C[j]
-            err = (abs(ax) + abs(by) + abs(C[j])) * EPS_FACTOR
-            if abs(v) <= err:
-                uncertain[i, j] = True
-            elif v > 0.0:
-                signs[i, j] = 1
-            elif v < 0.0:
-                signs[i, j] = -1
-    return signs, uncertain
+    # Comparisons with NaN are false, so NaN entries come out uncertain.
+    uncertain = ~(np.abs(vals) > err)
+    vals[uncertain] = 0.0
+    return np.sign(vals).astype(np.int8), uncertain
 
 
 def eval_signs(A, B, C, X, Y):
@@ -93,10 +48,7 @@ def eval_signs(A, B, C, X, Y):
     Returns (signs, uncertain): int8 array of shape (n, m) and a boolean
     mask of entries too close to zero to trust (their sign is set to 0).
     """
-    A, B, C, X, Y = (np.ascontiguousarray(v, dtype=np.float64) for v in (A, B, C, X, Y))
-    if _HAVE_NUMBA:
-        return _nb_eval_signs(A, B, C, X, Y)
-    return _np_eval_signs(A, B, C, X, Y)
+    return _signs(*_as_f64(A, B, C, X, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +64,15 @@ def _desc_powers(mult: np.uint64, w: int) -> np.ndarray:
     return p
 
 
-def _np_row_hash(A, B, C, X, Y):
+def row_hash(A, B, C, X, Y):
+    """Per-point 64-bit hashes of the sign row over all lines.
+
+    h = sum_k (sign_k + 1) * MULT^(m-1-k)  (mod 2^64), for two multipliers.
+    Uncertain entries enter the hash as sign 0 and are returned as (i, j)
+    index pairs so the caller can patch the hashes after exact evaluation:
+    h += (s_exact - 0) * MULT^(m-1-j) mod 2^64.
+    """
+    A, B, C, X, Y = _as_f64(A, B, C, X, Y)
     n, m = X.shape[0], A.shape[0]
     h1 = np.zeros(n, dtype=np.uint64)
     h2 = np.zeros(n, dtype=np.uint64)
@@ -123,7 +83,7 @@ def _np_row_hash(A, B, C, X, Y):
     m2 = np.uint64(HASH_MULT_2)
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
-        signs, unc = _np_eval_signs(A[lo:hi], B[lo:hi], C[lo:hi], X, Y)
+        signs, unc = _signs(A[lo:hi], B[lo:hi], C[lo:hi], X, Y)
         ii, jj = np.nonzero(unc)
         unc_i.append(ii)
         unc_j.append(jj + lo)
@@ -143,108 +103,8 @@ def _np_row_hash(A, B, C, X, Y):
     return h1, h2, unc.astype(np.int64)
 
 
-@njit(cache=True)
-def _nb_row_hash(A, B, C, X, Y):  # pragma: no cover - thin numba twin
-    n = X.shape[0]
-    m = A.shape[0]
-    h1 = np.zeros(n, dtype=np.uint64)
-    h2 = np.zeros(n, dtype=np.uint64)
-    m1 = np.uint64(HASH_MULT_1)
-    m2 = np.uint64(HASH_MULT_2)
-    unc = np.empty((16, 2), dtype=np.int64)
-    n_unc = 0
-    for i in range(n):
-        x = X[i]
-        y = Y[i]
-        a1 = np.uint64(0)
-        a2 = np.uint64(0)
-        for j in range(m):
-            ax = A[j] * x
-            by = B[j] * y
-            v = ax + by + C[j]
-            err = (abs(ax) + abs(by) + abs(C[j])) * EPS_FACTOR
-            s = np.uint64(1)
-            if abs(v) <= err:
-                if n_unc == unc.shape[0]:
-                    grown = np.empty((2 * n_unc, 2), dtype=np.int64)
-                    grown[:n_unc] = unc
-                    unc = grown
-                unc[n_unc, 0] = i
-                unc[n_unc, 1] = j
-                n_unc += 1
-            elif v > 0.0:
-                s = np.uint64(2)
-            elif v < 0.0:
-                s = np.uint64(0)
-            a1 = a1 * m1 + s
-            a2 = a2 * m2 + s
-        h1[i] = a1
-        h2[i] = a2
-    return h1, h2, unc[:n_unc].copy()
-
-
-def row_hash(A, B, C, X, Y):
-    """Per-point 64-bit hashes of the sign row over all lines.
-
-    h = sum_k (sign_k + 1) * MULT^(m-1-k)  (mod 2^64), for two multipliers.
-    Uncertain entries enter the hash as sign 0 and are returned as (i, j)
-    index pairs so the caller can patch the hashes after exact evaluation:
-    h += (s_exact - 0) * MULT^(m-1-j) mod 2^64.
-    """
-    A, B, C, X, Y = (np.ascontiguousarray(v, dtype=np.float64) for v in (A, B, C, X, Y))
-    if _HAVE_NUMBA:
-        return _nb_row_hash(A, B, C, X, Y)
-    return _np_row_hash(A, B, C, X, Y)
-
-
 # ---------------------------------------------------------------------------
 # per-line side counts (greedy seeding)
-
-
-def _np_line_side_counts(A, B, C, X, Y):
-    n, m = X.shape[0], A.shape[0]
-    below = np.zeros(m, dtype=np.int64)
-    on = np.zeros(m, dtype=np.int64)
-    above = np.zeros(m, dtype=np.int64)
-    chunk = max(1, min(m, 2 ** 24 // max(n, 1) + 1))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        signs, _ = _np_eval_signs(A[lo:hi], B[lo:hi], C[lo:hi], X, Y)
-        below[lo:hi] = np.count_nonzero(signs == -1, axis=0)
-        above[lo:hi] = np.count_nonzero(signs == 1, axis=0)
-        on[lo:hi] = n - below[lo:hi] - above[lo:hi]
-    return below, on, above
-
-
-@njit(cache=True)
-def _nb_line_side_counts(A, B, C, X, Y):  # pragma: no cover - thin numba twin
-    n = X.shape[0]
-    m = A.shape[0]
-    below = np.zeros(m, dtype=np.int64)
-    on = np.zeros(m, dtype=np.int64)
-    above = np.zeros(m, dtype=np.int64)
-    for j in range(m):
-        a = A[j]
-        b = B[j]
-        c = C[j]
-        nb = 0
-        no = 0
-        na = 0
-        for i in range(n):
-            ax = a * X[i]
-            by = b * Y[i]
-            v = ax + by + c
-            err = (abs(ax) + abs(by) + abs(c)) * EPS_FACTOR
-            if abs(v) <= err:
-                no += 1
-            elif v > 0.0:
-                na += 1
-            else:
-                nb += 1
-        below[j] = nb
-        on[j] = no
-        above[j] = na
-    return below, on, above
 
 
 def line_side_counts(A, B, C, X, Y):
@@ -252,12 +112,16 @@ def line_side_counts(A, B, C, X, Y):
 
     Approximate at the uncertainty boundary; use for priority seeding only.
     """
-    A, B, C, X, Y = (np.ascontiguousarray(v, dtype=np.float64) for v in (A, B, C, X, Y))
-    if _HAVE_NUMBA:
-        return _nb_line_side_counts(A, B, C, X, Y)
-    return _np_line_side_counts(A, B, C, X, Y)
-
-
-def hash_power(mult: int, exp: int) -> int:
-    """mult**exp mod 2^64, for patching row hashes from Python."""
-    return pow(mult, exp, 1 << 64)
+    A, B, C, X, Y = _as_f64(A, B, C, X, Y)
+    n, m = X.shape[0], A.shape[0]
+    below = np.zeros(m, dtype=np.int64)
+    on = np.zeros(m, dtype=np.int64)
+    above = np.zeros(m, dtype=np.int64)
+    chunk = max(1, min(m, 2 ** 24 // max(n, 1) + 1))
+    for lo in range(0, m, chunk):
+        hi = min(m, lo + chunk)
+        signs, _ = _signs(A[lo:hi], B[lo:hi], C[lo:hi], X, Y)
+        below[lo:hi] = np.count_nonzero(signs == -1, axis=0)
+        above[lo:hi] = np.count_nonzero(signs == 1, axis=0)
+        on[lo:hi] = n - below[lo:hi] - above[lo:hi]
+    return below, on, above

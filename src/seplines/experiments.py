@@ -16,10 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
-from .geom import CanonicalLine, Point, sign
-from .sepsys import PointSet, SeparationMode, find_unseparated_pair
-from .solvers import grid_separator, halving_separator
+from .geom import CanonicalLine, Point
+from .sepsys import PointSet, SeparationMode, find_unseparated_pair, refine
+from .solvers import VerificationError, grid_separator, halving_separator
 
 GRID_BITS = 40
 GRID = 1 << GRID_BITS
@@ -666,42 +665,11 @@ def t_relaxed_separator(P: PointSet, t: int) -> List[CanonicalLine]:
 def max_face_load(P: PointSet, lines: Sequence[CanonicalLine]) -> int:
     """Largest number of points sharing a sign vector over the lines
     (face-occupancy check for t-relaxed output)."""
-    n = len(P)
-    if n == 0:
+    if len(P) == 0:
         return 0
-    if not lines:
-        return n
-    pair = None
-    # Group by exact sign vectors; the hashed kernel path handles scale.
-    groups: Dict[tuple, int] = {}
-    if n * len(lines) <= 200_000:
-        xs, ys, d = P.int_coords()
-        coeffs = [(l.a, l.b, l.c * d) for l in lines]
-        for x, y in zip(xs, ys):
-            row = tuple(sign(a * x + b * y + cd) for a, b, cd in coeffs)
-            groups[row] = groups.get(row, 0) + 1
-        return max(groups.values())
-    xf, yf = P.float_coords()
-    a = np.array([float(l.a) for l in lines])
-    b = np.array([float(l.b) for l in lines])
-    c = np.array([float(l.c) for l in lines])
-    h1, h2, unc = _kernels.row_hash(a, b, c, xf, yf)
-    if len(unc):
-        xs, ys, d = P.int_coords()
-        mask = (1 << 64) - 1
-        m = len(lines)
-        for i, j in unc:
-            line = lines[j]
-            s = sign(line.a * xs[i] + line.b * ys[i] + line.c * d)
-            if s:
-                p1 = _kernels.hash_power(_kernels.HASH_MULT_1, m - 1 - j)
-                p2 = _kernels.hash_power(_kernels.HASH_MULT_2, m - 1 - j)
-                h1[i] = np.uint64((int(h1[i]) + s * p1) & mask)
-                h2[i] = np.uint64((int(h2[i]) + s * p2) & mask)
-    hcounts: Dict[Tuple[int, int], int] = {}
-    for key in zip(h1.tolist(), h2.tolist()):
-        hcounts[key] = hcounts.get(key, 0) + 1
-    return max(hcounts.values())
+    # Classes of one point are dropped, so an empty result means load 1.
+    classes = refine(P, lines, SeparationMode.RELAXED, stop_at=1)
+    return max((len(c) for c in classes), default=1)
 
 
 def trelax_study(
@@ -720,7 +688,7 @@ def trelax_study(
         P = random_points(n, s)
         lines = t_relaxed_separator(P, t)
         if max_face_load(P, lines) > t:
-            raise HyperVerificationError(
+            raise VerificationError(
                 "t-relaxed output left a face with more than t points"
             )
         colliding, active, _ = _cell_stats(P, N)

@@ -9,6 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,11 +19,28 @@ from .geom import CanonicalLine, Point, line_through, side, sign
 
 PairId = Tuple[int, int]
 
-# Above this many sign evaluations the float kernels (with exact
-# escalation) take over from pure bigint evaluation.
+# Largest number of sign entries one kernel call in `refine` evaluates.
 _KERNEL_THRESHOLD = 200_000
 
+# The float filter holds while every input is 0 or within 2^-400..2^400 in
+# magnitude: products then stay normal doubles, so the kernels' relative
+# error bound is sound. Inputs outside that range become NaN.
+_FLOAT_EXP = 400
+
 GENERAL_POSITION_CHECK_CAP = 512
+
+
+def float_array(values: Sequence) -> np.ndarray:
+    """Float64 copies of exact ints or Fractions for the kernels. A value
+    whose magnitude lies outside 2^-_FLOAT_EXP..2^_FLOAT_EXP becomes NaN,
+    which makes every kernel entry that uses it uncertain, so callers
+    settle those entries exactly."""
+
+    def conv(v) -> float:
+        e = v.numerator.bit_length() - v.denominator.bit_length()
+        return float(v) if not v or -_FLOAT_EXP < e < _FLOAT_EXP else math.nan
+
+    return np.array([conv(v) for v in values], dtype=np.float64)
 
 
 class TooFewPointsError(ValueError):
@@ -71,19 +89,30 @@ class PointSet:
     def int_coords(self) -> Tuple[List[int], List[int], int]:
         """(X, Y, D) with points[i] = (X[i]/D, Y[i]/D)."""
         if self._int_coords is None:
-            d = 1
-            for p in self.points:
-                d = math.lcm(d, p.x.denominator, p.y.denominator)
-            xs = [int(p.x * d) for p in self.points]
-            ys = [int(p.y * d) for p in self.points]
+            rx = [p.x.as_integer_ratio() for p in self.points]
+            ry = [p.y.as_integer_ratio() for p in self.points]
+            d = math.lcm(1, *{q for _, q in rx}, *{q for _, q in ry})
+            xs = [v * (d // q) for v, q in rx]
+            ys = [v * (d // q) for v, q in ry]
             self._int_coords = (xs, ys, d)
         return self._int_coords
 
+    @cached_property
+    def int_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray, int, int]]:
+        """(X, Y, max |X|, max |Y|) with X, Y the int_coords as int64
+        arrays, or None if some coordinate needs more than 62 bits."""
+        xs, ys, _ = self.int_coords()
+        xmax = max(map(abs, xs), default=0)
+        ymax = max(map(abs, ys), default=0)
+        if max(xmax, ymax) >= 2 ** 62:
+            return None
+        return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), xmax, ymax
+
     def float_coords(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Float64 x and y arrays for the kernels (see float_array)."""
         if self._float_coords is None:
-            xs = np.array([float(p.x) for p in self.points])
-            ys = np.array([float(p.y) for p in self.points])
-            self._float_coords = (xs, ys)
+            self._float_coords = (float_array([p.x for p in self.points]),
+                                  float_array([p.y for p in self.points]))
         return self._float_coords
 
     @property
@@ -146,10 +175,9 @@ class CandidateLines:
     def coeff_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float64 (a, b, c) arrays for the kernels."""
         if self._coeff_arrays is None:
-            a = np.array([float(l.a) for l in self.lines])
-            b = np.array([float(l.b) for l in self.lines])
-            c = np.array([float(l.c) for l in self.lines])
-            self._coeff_arrays = (a, b, c)
+            self._coeff_arrays = tuple(
+                float_array([getattr(l, k) for l in self.lines]) for k in "abc"
+            )
         return self._coeff_arrays
 
 
@@ -197,190 +225,133 @@ def hits(line: CanonicalLine, P: PointSet, pair: PairId, mode: SeparationMode) -
     return sp != sq
 
 
-def _exact_sign_rows(P: PointSet, lines: Sequence[CanonicalLine]) -> List[Tuple[int, ...]]:
-    xs, ys, d = P.int_coords()
-    coeffs = [(l.a, l.b, l.c * d) for l in lines]
-    rows = []
-    for x, y in zip(xs, ys):
-        rows.append(tuple(sign(a * x + b * y + cd) for a, b, cd in coeffs))
-    return rows
-
-
 def _exact_side_int(line: CanonicalLine, x: int, y: int, d: int) -> int:
     return sign(line.a * x + line.b * y + line.c * d)
 
 
-def _patched_row_hashes(P: PointSet, lines: Sequence[CanonicalLine]):
-    """(h1, h2, zero_points): per-point row hashes over the lines with
-    uncertain entries escalated to exact arithmetic, plus the set of points
-    lying exactly on at least one of the lines."""
-    xfl, yfl = P.float_coords()
-    a = np.array([float(l.a) for l in lines])
-    b = np.array([float(l.b) for l in lines])
-    c = np.array([float(l.c) for l in lines])
-    h1, h2, unc = _kernels.row_hash(a, b, c, xfl, yfl)
-    zero_pts = set()
-    if len(unc):
+def line_signs(
+    P: PointSet, lines: Sequence[CanonicalLine], idx: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Exact signs of the lines at the points ``idx`` (default: all), as an
+    int8 array of shape (points, lines): the float kernel, with every
+    uncertain entry settled in integers."""
+    if idx is None:
+        xf, yf = P.float_coords()
+    else:
+        pts = [P[i] for i in idx.tolist()]
+        xf, yf = float_array([p.x for p in pts]), float_array([p.y for p in pts])
+    abc = float_array([v for l in lines for v in (l.a, l.b, l.c)])
+    signs, unc = _kernels.eval_signs(abc[0::3], abc[1::3], abc[2::3], xf, yf)
+    if unc.any():
+        ui, uj = np.nonzero(unc)
         xs, ys, d = P.int_coords()
-        m = len(lines)
-        mask = (1 << 64) - 1
-        h1 = h1.copy()
-        h2 = h2.copy()
-        for i, j in unc:
-            s = _exact_side_int(lines[j], xs[i], ys[i], d)
-            if s:
-                p1 = _kernels.hash_power(_kernels.HASH_MULT_1, m - 1 - j)
-                p2 = _kernels.hash_power(_kernels.HASH_MULT_2, m - 1 - j)
-                h1[i] = np.uint64((int(h1[i]) + s * p1) & mask)
-                h2[i] = np.uint64((int(h2[i]) + s * p2) & mask)
-            else:
-                zero_pts.add(int(i))
-    return h1, h2, zero_pts
+        pts = (ui if idx is None else idx[ui]).tolist()
+        signs[ui, uj] = [
+            _exact_side_int(lines[j], xs[i], ys[i], d) for i, j in zip(pts, uj.tolist())
+        ]
+    return signs
 
 
-def _hashed_relaxed_pair(P: PointSet, lines: Sequence[CanonicalLine]) -> Optional[PairId]:
-    """Kernel-accelerated search for a relaxed-unseparated pair: group
-    points by hashed sign rows, patch uncertain entries exactly, then
-    confirm candidate groups with exact arithmetic."""
-    h1, h2, _ = _patched_row_hashes(P, lines)
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for i, key in enumerate(zip(h1.tolist(), h2.tolist())):
-        groups.setdefault(key, []).append(i)
+def _family_slots(P: PointSet, pts: np.ndarray, direction: Tuple[int, int], fam):
+    """(lo, hi) for each point of ``pts`` against a family of distinct
+    parallel lines: lo counts the lines with the point on their positive
+    side, hi - lo is 1 if the point lies on one of them, else 0."""
+    p, q = direction
     xs, ys, d = P.int_coords()
-    best: Optional[PairId] = None
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        # Hash collision between distinct rows is possible in principle;
-        # confirm with exact rows before reporting.
-        rows: Dict[Tuple[int, ...], int] = {}
-        for i in members:
-            row = tuple(
-                _exact_side_int(l, xs[i], ys[i], d) for l in lines
-            )
-            if row in rows:
-                cand = (rows[row], i)
-                if best is None or cand < best:
-                    best = cand
-                break
-            rows[row] = i
-    return best
+    # Line k is g_k * (p, q) + c_k, so a*x + b*y + c has the sign of
+    # G*(p*X + q*Y) - T_k with G = lcm(g_k) and T_k = -c_k * D * G / g_k.
+    scale = [(l.a // p) if p else (l.b // q) for l in fam]
+    G = math.lcm(*scale)
+    T = sorted(-l.c * d * (G // g) for l, g in zip(fam, scale))
+    if P.int_arrays is not None:
+        X, Y, xmax, ymax = P.int_arrays
+        if max(G * (abs(p) * xmax + abs(q) * ymax + 1), -T[0], T[-1]) < 2 ** 62:
+            keys, T = G * (p * X[pts] + q * Y[pts]), np.array(T, dtype=np.int64)
+            return np.searchsorted(T, keys, "left"), np.searchsorted(T, keys, "right")
+    # Some key or offset needs more than 62 bits: compare Python ints.
+    keys = np.array([G * (p * xs[i] + q * ys[i]) for i in pts.tolist()], dtype=object)
+    T = np.array(T, dtype=object)
+    return np.searchsorted(T, keys, "left"), np.searchsorted(T, keys, "right")
 
 
-def _hashed_strict_pair(P: PointSet, lines: Sequence[CanonicalLine]) -> Optional[PairId]:
-    """Kernel-accelerated search for a strict-unseparated pair.
+def _split(cls, lo, hi, width, mode, stop_at, *carry):
+    """Refine the classes ``cls`` of the point copies by one family of
+    ``width - 1`` parallel lines with per-copy slots (lo, hi). Relaxed
+    mode keys a copy by its exact sign pattern (lo + hi); strict mode puts
+    a copy lying on a line into the cells on both sides of it. Classes of
+    at most ``stop_at`` copies are dropped. Returns the new compact class
+    labels and the carried per-copy arrays, filtered alike."""
+    if mode is SeparationMode.RELAXED:
+        key = cls * (2 * width) + lo + hi
+    else:
+        on = np.nonzero(hi > lo)[0]
+        key = np.concatenate([cls * width + lo, cls[on] * width + hi[on]])
+        carry = [np.concatenate([a, a[on]]) for a in carry]
+    if len(key) and key.max() < 4 * len(key):
+        inv, counts = key, np.bincount(key)
+    else:
+        _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
+    big = counts > stop_at
+    keep = big[inv]
+    return (np.cumsum(big) - 1)[inv[keep]], [a[keep] for a in carry]
 
-    A strict-unseparated pair has identical exact sign rows, or at least
-    one of the two points lies on one of the lines. Identical rows are
-    found by hash grouping (with exact confirmation); the usually-empty
-    set of on-line points is checked against everything else via the
-    vectorized sign kernel with exact escalation.
+
+def refine(
+    P: PointSet, lines: Sequence[CanonicalLine], mode: SeparationMode, stop_at: int = 1
+) -> List[np.ndarray]:
+    """The classes of points the lines leave together, keeping only
+    classes of more than ``stop_at`` points (stop_at >= 1), each as a
+    sorted index array.
+
+    Relaxed: a class is a set of points with one exact sign vector.
+    Strict: a point lying on a line joins both sides of it, so a class is
+    the set of points compatible with one strict side pattern; two points
+    are strictly unseparated iff some class holds both, and a point may be
+    in several classes. Each pair of points shares at most two classes, so
+    the work stays polynomial however many lines meet at a point.
+
+    Lines are grouped by direction. Each family of two or more parallel
+    lines splits the live points in one step, by binary search of a*x+b*y
+    among the family's sorted offsets in exact integers. The remaining
+    lines go through the float kernel, in blocks of at most
+    ``_KERNEL_THRESHOLD`` entries, on live points only.
     """
     n = len(P)
-    h1, h2, zero_pts = _patched_row_hashes(P, lines)
-    xs, ys, d = P.int_coords()
-    best: Optional[PairId] = None
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for i, key in enumerate(zip(h1.tolist(), h2.tolist())):
-        groups.setdefault(key, []).append(i)
-    for members in groups.values():
-        if len(members) < 2:
+    if n <= stop_at:
+        return []
+    fams: Dict[Tuple[int, int], List[CanonicalLine]] = {}
+    for l in dict.fromkeys(lines):
+        g = math.gcd(l.a, l.b)
+        fams.setdefault((l.a // g, l.b // g), []).append(l)
+    pid = np.arange(n)
+    cls = np.zeros(n, dtype=np.int64)
+    singles = []
+    for direction, fam in sorted(fams.items(), key=lambda kv: -len(kv[1])):
+        if len(fam) == 1:
+            singles.append(fam[0])
             continue
-        rows: Dict[Tuple[int, ...], int] = {}
-        for i in members:
-            row = tuple(_exact_side_int(l, xs[i], ys[i], d) for l in lines)
-            if row in rows:
-                cand = (rows[row], i)
-                if best is None or cand < best:
-                    best = cand
-                break
-            rows[row] = i
-    xfl, yfl = P.float_coords()
-    af = np.array([float(l.a) for l in lines])
-    bf = np.array([float(l.b) for l in lines])
-    cf = np.array([float(l.c) for l in lines])
-    for i in sorted(zero_pts):
-        row_i = np.array(
-            [_exact_side_int(l, xs[i], ys[i], d) for l in lines], dtype=np.int8
-        )
-        separated = np.zeros(n, dtype=bool)
-        chunk = max(1, 2 ** 22 // max(n, 1))
-        for lo in range(0, len(lines), chunk):
-            hi = min(len(lines), lo + chunk)
-            live = row_i[lo:hi] != 0
-            if not live.any():
-                continue
-            signs, unc = _kernels.eval_signs(af[lo:hi], bf[lo:hi], cf[lo:hi], xfl, yfl)
-            opp = (signs * row_i[None, lo:hi]) == -1
-            separated |= opp.any(axis=1)
-            # Uncertain entries on live lines: settle exactly.
-            ui, uj = np.nonzero(unc & live[None, :])
-            for pi, pj in zip(ui.tolist(), uj.tolist()):
-                if separated[pi]:
-                    continue
-                s = _exact_side_int(lines[lo + pj], xs[pi], ys[pi], d)
-                if s * int(row_i[lo + pj]) == -1:
-                    separated[pi] = True
-        separated[i] = True
-        unsep = np.nonzero(~separated)[0]
-        if len(unsep):
-            j = int(unsep[0])
-            cand = (min(i, j), max(i, j))
-            if best is None or cand < best:
-                best = cand
-    return best
+        lo, hi = _family_slots(P, pid, direction, fam)
+        cls, (pid,) = _split(cls, lo, hi, len(fam) + 1, mode, stop_at, pid)
+    start = 0
+    while start < len(singles) and len(pid):
+        live, row = np.unique(pid, return_inverse=True)
+        block = singles[start : start + max(1, _KERNEL_THRESHOLD // len(live))]
+        start += len(block)
+        signs = line_signs(P, block, live)
+        for j in range(len(block)):
+            s = signs[row, j]
+            cls, (pid, row) = _split(cls, s > 0, s >= 0, 2, mode, stop_at, pid, row)
+    order = np.lexsort((pid, cls))
+    return np.split(pid[order], np.nonzero(np.diff(cls[order]))[0] + 1) if len(pid) else []
 
 
 def find_unseparated_pair(
     P: PointSet, lines: Sequence[CanonicalLine], mode: SeparationMode
 ) -> Optional[PairId]:
     """First (lexicographically smallest) pair of points not separated by
-    any line under the mode, or None if the lines separate P.
-
-    Relaxed mode groups exact sign vectors (equal vector <=> unseparated);
-    large instances go through the hashed kernel path with exact
-    confirmation. Strict mode falls back to direct pair checking whenever
-    zero signs make vector equality inconclusive.
-    """
-    lines = list(lines)
-    n = len(P)
-    if n < 2:
-        return None
-    if lines and n * len(lines) > _KERNEL_THRESHOLD:
-        if mode is SeparationMode.RELAXED:
-            return _hashed_relaxed_pair(P, lines)
-        return _hashed_strict_pair(P, lines)
-    rows = _exact_sign_rows(P, lines)
-    seen: Dict[Tuple[int, ...], int] = {}
-    first_equal: Optional[PairId] = None
-    for i, row in enumerate(rows):
-        if row in seen:
-            cand = (seen[row], i)
-            if first_equal is None or cand < first_equal:
-                first_equal = cand
-        else:
-            seen[row] = i
-    if mode is SeparationMode.RELAXED:
-        return first_equal
-    # Strict: identical rows are always unseparated, but rows differing
-    # only where one entry is zero may be unseparated too.
-    zero_pts = [i for i, row in enumerate(rows) if any(s == 0 for s in row)]
-    if not zero_pts:
-        return first_equal
-    zero_set = set(zero_pts)
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            if i not in zero_set and j not in zero_set:
-                if ri != rows[j]:
-                    continue
-                return (i, j)
-            rj = rows[j]
-            if not any(a * b == -1 for a, b in zip(ri, rj)):
-                if first_equal is not None and first_equal < (i, j):
-                    return first_equal
-                return (i, j)
-    return None
+    any line under the mode, or None if the lines separate P."""
+    classes = refine(P, lines, mode)
+    return min(((int(c[0]), int(c[1])) for c in classes), default=None)
 
 
 def _perp_bisector(p: Point, q: Point) -> CanonicalLine:

@@ -34,8 +34,10 @@ from .sepsys import (
     PointSet,
     SeparationMode,
     TooFewPointsError,
+    _perp_bisector,
     candidate_lines,
     find_unseparated_pair,
+    line_signs,
 )
 
 EXACT_SIZE_CAP = 14
@@ -145,13 +147,6 @@ class WeightState:
 
 # ---------------------------------------------------------------------------
 # variant realization
-
-
-def _perp_bisector(p: Point, q: Point) -> CanonicalLine:
-    a = 2 * (q.x - p.x)
-    b = 2 * (q.y - p.y)
-    c = (p.x * p.x + p.y * p.y) - (q.x * q.x + q.y * q.y)
-    return CanonicalLine.from_coeffs(a, b, c)
 
 
 def _rotate(
@@ -399,24 +394,6 @@ def exact_separability(
 # greedy (lazy evaluation over point classes)
 
 
-def _exact_line_signs(P: PointSet, line: CanonicalLine) -> np.ndarray:
-    """Exact int8 signs of one line over all points, via the float kernel
-    with escalation of uncertain entries."""
-    xf, yf = P.float_coords()
-    a = np.array([float(line.a)])
-    b = np.array([float(line.b)])
-    c = np.array([float(line.c)])
-    s, unc = _kernels.eval_signs(a, b, c, xf, yf)
-    s = s[:, 0].copy()
-    idx = np.nonzero(unc[:, 0])[0]
-    if len(idx):
-        xs, ys, d = P.int_coords()
-        cd = line.c * d
-        for i in idx:
-            s[i] = sign(line.a * xs[i] + line.b * ys[i] + cd)
-    return s
-
-
 def _class_tallies(class_id: np.ndarray, signs: np.ndarray, n_classes: int) -> np.ndarray:
     """(n_classes, 3) counts of signs -1/0/+1 per class."""
     flat = class_id * 3 + (signs.astype(np.int64) + 1)
@@ -507,7 +484,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         li = base_of_entry[e]
         s = sign_cache.get(li)
         if s is None:
-            s = _exact_line_signs(P, cand.lines[li])
+            s = line_signs(P, [cand.lines[li]])[:, 0].copy()
             sign_cache[li] = s
         if not strict:
             return s

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from seplines.cli import (
+    EXIT_INTERNAL,
     EXIT_NOT_SEPARATING,
     EXIT_OK,
     EXIT_PARSE,
@@ -111,6 +112,46 @@ def test_verify_failure_reports_pair(square_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _verify_rows(tmp_path, points, lines, n_points):
+    pf, lf = tmp_path / f"p{n_points}.txt", tmp_path / "l.txt"
+    pf.write_text("".join(points[:n_points]))
+    lf.write_text("".join(f"{a} {b} {c}\n" for a, b, c in lines))
+    rc = main(["verify", "--points", str(pf), "--lines", str(lf)])
+    return rc, len(lines) * n_points
+
+
+@pytest.mark.parametrize("n_points", [200, 1000])
+def test_verify_400_digit_coefficient(tmp_path, capsys, n_points):
+    # 10^400 x + y - 5.1 * 10^400 = 0 splits points 0..5 from 6.. where the
+    # strip x = 5.5 is missing; points 100 and 101 share a strip. The float
+    # filter cannot hold such a coefficient; 1000 x 248 entries is above
+    # the size where verification used to switch to it.
+    points = [f"{i} {i * i % 1009}\n" for i in range(1000)]
+    big = 10 ** 400
+    lines = [(2, 0, -(2 * k + 1)) for k in range(249) if k not in (5, 100)]
+    lines.append((big, 1, -(5 * big + big // 10)))
+    rc, entries = _verify_rows(tmp_path, points, lines, n_points)
+    assert (entries > 200_000) == (n_points == 1000)
+    assert rc == EXIT_NOT_SEPARATING
+    assert capsys.readouterr().out == "not separating: pair 100 101\n"
+
+
+@pytest.mark.parametrize("n_points", [200, 1000])
+def test_verify_subnormal_coordinates(tmp_path, capsys, n_points):
+    # The line 2^300 x - y = 0 separates points 0 and 1, but point 0's
+    # x-coordinate is subnormal as a double and rounds far enough to put
+    # the point on the wrong side; point 0 and point 2 = (1, 0) stay
+    # together.
+    y = f"132/{100 * 2 ** 770}"
+    points = [f"4/{3 * 2 ** 1070} {y}\n", f"0 {y}\n"]
+    points += [f"{k} 0\n" for k in range(1, 999)]
+    lines = [(2 ** 300, -1, 0)] + [(2, 0, -(2 * k + 1)) for k in range(1, 249)]
+    rc, entries = _verify_rows(tmp_path, points, lines, n_points)
+    assert (entries > 200_000) == (n_points == 1000)
+    assert rc == EXIT_NOT_SEPARATING
+    assert capsys.readouterr().out == "not separating: pair 0 2\n"
+
+
 def test_unreadable_input_exits_2(capsys):
     rc = main(["solve", "--input", "/definitely/not/here.txt"])
     assert rc == EXIT_PARSE
@@ -158,6 +199,16 @@ def test_study_byte_identical_rerun(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert out1 == out2
     assert c1.read_bytes() == c2.read_bytes()
+
+
+def test_study_trelax_face_load_failure_exits_4(monkeypatch, capsys):
+    from seplines import experiments as ex
+
+    monkeypatch.setenv("SEP_THREADS", "1")
+    monkeypatch.setattr(ex, "max_face_load", lambda P, lines: len(P))
+    rc = main(["study", "trelax", "--n", "64", "--t", "2", "--trials", "1"])
+    assert rc == EXIT_INTERNAL
+    assert "more than t points" in capsys.readouterr().err
 
 
 def test_study_missing_n_exits_2(capsys):
