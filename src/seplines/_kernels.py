@@ -117,7 +117,7 @@ def line_side_counts(A, B, C, X, Y):
     below = np.zeros(m, dtype=np.int64)
     on = np.zeros(m, dtype=np.int64)
     above = np.zeros(m, dtype=np.int64)
-    chunk = max(1, min(m, 2 ** 24 // max(n, 1) + 1))
+    chunk = max(1, min(m, 2 ** 20 // max(n, 1)))
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
         signs, _ = _signs(A[lo:hi], B[lo:hi], C[lo:hi], X, Y)

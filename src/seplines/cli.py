@@ -1,8 +1,8 @@
 """Command line interface: solve, verify, study, partition.
 
 Exit codes: 0 success; 1 verification answered "not separating";
-2 unreadable input / parse error; 3 precondition violation;
-4 internal verification failure.
+2 unreadable input or unwritable output / parse error; 3 precondition
+violation; 4 internal error (a failed self-check or any other exception).
 
 Point files: one point per non-comment line, ``x y`` where each coordinate
 is a decimal or ``p/q`` rational; ``#`` starts a comment. Line files: one
@@ -142,6 +142,13 @@ def _threads() -> int:
     return v if v > 0 else (os.cpu_count() or 1)
 
 
+def _open_out(path: str, newline: Optional[str] = None):
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as e:
+        raise ParseFileError(f"cannot write {path}: {e}")
+
+
 def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -260,20 +267,22 @@ def cmd_study(args) -> int:
     else:  # pragma: no cover
         raise ParseFileError(f"unknown study {args.what}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(args.csv, newline="") as fh:
             tab.write_csv(fh)
     _emit_json(tab.summary())
     return EXIT_OK
 
 
 def cmd_partition(args) -> int:
+    if args.r < 1:
+        raise ex.PreconditionError(f"--r must be at least 1, got {args.r}")
     P = parse_point_file(args.points)
     lines = parse_line_file(args.lines)
     part = p2.build_partition(
         P, lines, r=args.r, seed=args.seed, alpha=args.alpha, mode=_mode(args.mode)
     )
     doc = p2.partition_to_json(part)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_out(args.out) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     _emit_json(
@@ -365,6 +374,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PRECONDITION
     except VerificationError as e:
         print(f"internal verification failure: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as e:
+        import traceback  # only on this path: it adds to every start-up
+
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

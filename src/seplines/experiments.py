@@ -422,6 +422,13 @@ def _run_trials(jobs, worker, threads: int) -> List[StudyRow]:
     return rows
 
 
+def _check_n_list(n_list: Sequence[int]) -> None:
+    if list(n_list) != sorted(set(n_list)):
+        raise PreconditionError("n_list must be ascending and duplicate-free")
+    if n_list and n_list[0] < 1:
+        raise PreconditionError(f"every n must be at least 1, got {n_list[0]}")
+
+
 def scaling_study(
     n_list: Sequence[int],
     trials: int,
@@ -433,8 +440,7 @@ def scaling_study(
     """grid_separator sizes over random instances with N = ceil(n^(2/3)),
     plus active-cell and per-line crossing statistics, and the log-log
     fitted size exponent."""
-    if list(n_list) != sorted(set(n_list)):
-        raise PreconditionError("n_list must be ascending and duplicate-free")
+    _check_n_list(n_list)
 
     def worker(job) -> StudyRow:
         n, t = job
@@ -678,8 +684,7 @@ def trelax_study(
     """t_relaxed_separator sizes over random instances; fitted exponent of
     the total line count vs n. Every output is verified to leave at most t
     points per face."""
-    if list(n_list) != sorted(set(n_list)):
-        raise PreconditionError("n_list must be ascending and duplicate-free")
+    _check_n_list(n_list)
 
     def worker(job) -> StudyRow:
         n, tr = job

@@ -242,6 +242,16 @@ def line_signs(
         xf, yf = float_array([p.x for p in pts]), float_array([p.y for p in pts])
     abc = float_array([v for l in lines for v in (l.a, l.b, l.c)])
     signs, unc = _kernels.eval_signs(abc[0::3], abc[1::3], abc[2::3], xf, yf)
+    return settle(P, lines, signs, unc, idx)
+
+
+def settle(
+    P: PointSet, lines: Sequence[CanonicalLine], signs: np.ndarray, unc: np.ndarray,
+    idx: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Set the entries of a kernel sign block (points ``idx``, default
+    all, by ``lines``) that ``unc`` flags to their exact signs, computed
+    in integers."""
     if unc.any():
         ui, uj = np.nonzero(unc)
         xs, ys, d = P.int_coords()

@@ -1,7 +1,7 @@
 """Separability solvers.
 
 * :func:`exact_separability` -- branch-and-bound optimum (n <= 14).
-* :func:`greedy_hitting_set` -- lazy greedy baseline.
+* :func:`greedy_hitting_set` -- batched lazy greedy baseline.
 * :func:`reweight_approx` -- multiplicative-weights epsilon-net sampler.
 * :func:`halving_separator` -- the ceil(n/2) splitting construction.
 * :func:`grid_separator` -- grid lines plus per-cell fix-ups.
@@ -17,7 +17,6 @@ every sign pattern a line can have on the point set.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,10 +33,12 @@ from .sepsys import (
     PointSet,
     SeparationMode,
     TooFewPointsError,
+    _KERNEL_THRESHOLD,
     _perp_bisector,
+    _split,
     candidate_lines,
     find_unseparated_pair,
-    line_signs,
+    settle,
 )
 
 EXACT_SIZE_CAP = 14
@@ -391,20 +392,16 @@ def exact_separability(
 
 
 # ---------------------------------------------------------------------------
-# greedy (lazy evaluation over point classes)
+# greedy (batched lazy evaluation over point classes)
 
 
-def _class_tallies(class_id: np.ndarray, signs: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n_classes, 3) counts of signs -1/0/+1 per class."""
-    flat = class_id * 3 + (signs.astype(np.int64) + 1)
-    return np.bincount(flat, minlength=3 * n_classes).reshape(n_classes, 3)
-
-
-def _count_hits(tal: np.ndarray, mode: SeparationMode) -> int:
-    b, o, a = tal[:, 0], tal[:, 1], tal[:, 2]
-    if mode is SeparationMode.STRICT:
-        return int((b * a).sum())
-    return int((b * a + b * o + a * o).sum())
+def _gather(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions ptr[r]..ptr[r + 1] - 1 of each r in rows (a CSR gather):
+    returns (index into rows, position) per gathered position."""
+    cnt = ptr[rows + 1] - ptr[rows]
+    at = np.repeat(np.arange(len(rows)), cnt)
+    first = np.repeat(ptr[rows] - np.cumsum(cnt) + cnt, cnt)
+    return at, first + np.arange(len(at))
 
 
 def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]:
@@ -412,7 +409,14 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
     currently-unseparated pairs (ties by canonical line order, then
     variant). Relaxed mode selects among the candidate lines themselves;
     strict mode selects among their four perturbed variants (candidate
-    lines pass through two points and never strictly separate them)."""
+    lines pass through two points and never strictly separate them).
+
+    Batched lazy greedy (Minoux 1978): a count only falls as the classes
+    of unseparated points refine, so a stale count bounds the current one.
+    Each round walks the entries by (stale bound, tie rank) a block at a
+    time, evaluating a block's signs at the live points (those in a class
+    of two or more) in one kernel call and its counts in one tally, and
+    stops once the best exact count beats the next stale bound."""
     n = len(P)
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
@@ -422,106 +426,121 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         return [line]
     cand = candidate_lines(P)
     strict = mode is SeparationMode.STRICT
+    # Lines in tie order (canonical coefficients). An entry's id is its
+    # tie rank: entry l is line l in relaxed mode; in strict mode entry e
+    # is variant e % 4 of pair e // 4, with the pairs of a line in order.
+    rank = sorted(range(len(cand)), key=lambda li: cand.lines[li].coeffs())
+    lines = np.empty(len(rank), dtype=object)
+    lines[:] = [cand.lines[li] for li in rank]
+    per_line = np.array([len(cand.incident_pairs[li]) for li in rank])
+    pair_line = np.repeat(np.arange(len(lines)), per_line)
+    pairs = np.array([pr for li in rank for pr in cand.incident_pairs[li]], dtype=np.int64)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0], pair_line))]
+    # The points each line was built through lie on it exactly:
+    # on_pt[on_ptr[l]:on_ptr[l + 1]], in index order.
+    inc = np.unique(np.concatenate([pair_line * n + pairs[:, 0], pair_line * n + pairs[:, 1]]))
+    on_line, on_pt = np.divmod(inc, n)
+    on_ptr = np.searchsorted(on_line, np.arange(len(lines) + 1))
     if strict:
-        # One entry per (pair, variant); the base line of entry e is the
-        # line through that pair.
-        pair_of_line: List[PairId] = []
-        base_of_entry: List[int] = []
-        variants: List[Tuple[int, int]] = []
-        for li, prs in enumerate(cand.incident_pairs):
-            for pr in prs:
-                for sv in _STRICT_VARIANTS:
-                    pair_of_line.append(pr)
-                    base_of_entry.append(li)
-                    variants.append(sv)
-        n_entries = len(variants)
-    else:
-        base_of_entry = list(range(len(cand.lines)))
-        n_entries = len(cand.lines)
+        # on_t orders the points of a line along it, so that the midpoint
+        # of two of them has the mean of their values: positions 0, 1 on a
+        # two-point line, exact projections on a line through three or more.
+        on_t = np.arange(len(inc)) - on_ptr[on_line]
+        crowded = np.nonzero(np.diff(on_ptr) > 2)[0].tolist()
+        if crowded:
+            xs, ys, _ = P.int_coords()
+            t = on_t.tolist()
+            for l in crowded:
+                for q in range(on_ptr[l], on_ptr[l + 1]):
+                    t[q] = lines[l].a * ys[on_pt[q]] - lines[l].b * xs[on_pt[q]]
+            on_t = np.array(t, dtype=object if max(map(abs, t)) >= 2 ** 61 else np.int64)
+        pair_t = on_t[np.searchsorted(inc, pair_line[:, None] * n + pairs)]
+        sides = np.array(_STRICT_VARIANTS, dtype=np.int8)
 
-    # Deterministic tie order: canonical coefficients of the base line,
-    # then the variant.
-    line_rank_order = sorted(
-        range(len(cand.lines)), key=lambda li: cand.lines[li].coeffs()
-    )
-    line_rank = {li: r for r, li in enumerate(line_rank_order)}
-    if strict:
-        entry_order = sorted(
-            range(n_entries),
-            key=lambda e: (line_rank[base_of_entry[e]], pair_of_line[e], variants[e]),
-        )
-    else:
-        entry_order = sorted(range(n_entries), key=lambda e: line_rank[base_of_entry[e]])
-    rank_of_entry = [0] * n_entries
-    for r, e in enumerate(entry_order):
-        rank_of_entry[e] = r
-
-    # Seed priorities: upper bounds on initial hit counts from kernel side
-    # counts (uncertain points counted as on-line, resolved optimistically).
-    A, B, C = cand.coeff_arrays()
+    A, B, C = (v[rank] for v in cand.coeff_arrays())
     xf, yf = P.float_coords()
-    below, on, above = _kernels.line_side_counts(A, B, C, xf, yf)
-    heap = []
-    for e in range(n_entries):
-        li = base_of_entry[e]
-        b, o, a = int(below[li]), int(on[li]), int(above[li])
-        if strict:
-            seed = (b + o) * (a + o)
-        else:
-            seed = b * a + o * (b + a) + o * (o - 1) // 2
-        heap.append((-seed, rank_of_entry[e], e))
-    heapq.heapify(heap)
+    pid = np.arange(n)  # live points, ascending
+    row_of = np.arange(n)  # point -> row among the live points, or -1
+    cls = np.zeros(n, dtype=np.int64)  # class of each live point
 
-    class_id = np.zeros(n, dtype=np.int64)
-    n_classes = 1
-    unsep = n * (n - 1) // 2
-    sign_cache: Dict[int, np.ndarray] = {}
-    computed_at = [-1] * n_entries
-    round_no = 0
-    out: List[CanonicalLine] = []
+    def line_block(ls: np.ndarray) -> np.ndarray:
+        """Exact signs of lines ls at the live points, (live, len(ls))."""
+        S, unc = _kernels.eval_signs(A[ls], B[ls], C[ls], xf[pid], yf[pid])
+        at, q = _gather(on_ptr, ls)
+        row = row_of[on_pt[q]]
+        at, row = at[row >= 0], row[row >= 0]
+        S[row, at] = 0
+        unc[row, at] = False
+        return settle(P, lines[ls], S, unc, pid)
 
-    def entry_signs(e: int) -> np.ndarray:
-        li = base_of_entry[e]
-        s = sign_cache.get(li)
-        if s is None:
-            s = line_signs(P, [cand.lines[li]])[:, 0].copy()
-            sign_cache[li] = s
+    def entry_block(blk: np.ndarray) -> np.ndarray:
         if not strict:
-            return s
-        (i, j), (su, sv) = pair_of_line[e], variants[e]
-        s = s.copy()
-        s[i], s[j] = su, sv
-        return s
+            return line_block(blk)
+        # A variant moves the points on its base line and keeps every
+        # other side: a translation (su = sv) puts them all on side su; a
+        # rotation about the midpoint m of p_i, p_j puts p_k on side
+        # su * sign((p_i - p_j) . (p_k - m)), which is 0 at m.
+        pi = blk // 4
+        ls, col = np.unique(pair_line[pi], return_inverse=True)
+        S = line_block(ls)[:, col]
+        at, q = _gather(on_ptr, pair_line[pi])
+        row = row_of[on_pt[q]]
+        at, q, row = at[row >= 0], q[row >= 0], row[row >= 0]
+        su, sv = sides[blk[at] % 4].T
+        ti, tj = pair_t[pi[at]].T
+        turn = np.sign(ti - tj) * np.sign(2 * on_t[q] - ti - tj)
+        S[row, at] = np.where(su == sv, su, su * turn)
+        return S
 
-    def exact_count(e: int) -> int:
-        tal = _class_tallies(class_id, entry_signs(e), n_classes)
-        return _count_hits(tal, mode)
+    def counts(S: np.ndarray) -> np.ndarray:
+        """Unseparated pairs each column of signs S separates."""
+        k = S.shape[1]
+        n_cls = int(cls.max()) + 1
+        key = (np.arange(k) * n_cls + cls[:, None]) * 3 + (S + 1)
+        tal = np.bincount(key.ravel(), minlength=3 * n_cls * k).reshape(k, n_cls, 3)
+        lo, on, hi = tal[:, :, 0], tal[:, :, 1], tal[:, :, 2]
+        return (lo * hi if strict else lo * hi + on * (lo + hi)).sum(axis=1)
 
-    while unsep > 0:
-        negc, rank, e = heapq.heappop(heap)
-        if computed_at[e] != round_no:
-            c = exact_count(e)
-            computed_at[e] = round_no
-            heapq.heappush(heap, (-c, rank, e))
-            continue
-        if negc == 0:
+    # Seed bounds from kernel side counts, uncertain points counted as on
+    # the line and resolved optimistically.
+    below, on, above = _kernels.line_side_counts(A, B, C, xf, yf)
+    if strict:
+        bound = np.repeat((below + on) * (above + on), 4 * per_line)
+    else:
+        bound = below * above + on * (below + above) + on * (on - 1) // 2
+    order = np.arange(len(bound))
+    out: List[CanonicalLine] = []
+    while len(pid):
+        order = order[bound[order] > 0]
+        order = order[np.argsort(order - bound[order] * len(bound), kind="stable")]
+        step = max(1, _KERNEL_THRESHOLD // len(pid))
+        best, win, win_signs = 0, -1, None
+        pos = 0
+        while pos < len(order) and (bound[order[pos]], -order[pos]) > (best, -win):
+            blk = order[pos : pos + step]
+            pos += len(blk)
+            S = entry_block(blk)
+            c = counts(S)
+            bound[blk] = c
+            k = np.lexsort((blk, -c))[0]
+            if (c[k], -blk[k]) > (best, -win):
+                best, win, win_signs = int(c[k]), int(blk[k]), S[:, k].copy()
+        if best == 0:
             raise GeneralPositionError(
                 "no candidate line separates some remaining pair "
                 "(degenerate input)"
             )
-        s = entry_signs(e)
+        bound[win] = 0
         if strict:
-            (i, j), (su, sv) = pair_of_line[e], variants[e]
-            out.append(realize_variant(P, i, j, su, sv))
+            i, j = pairs[win // 4].tolist()
+            out.append(realize_variant(P, i, j, *_STRICT_VARIANTS[win % 4]))
         else:
-            out.append(cand.lines[base_of_entry[e]])
-        # Refine classes by the new line's signs.
-        combo = class_id * 3 + (s.astype(np.int64) + 1)
-        _, class_id = np.unique(combo, return_inverse=True)
-        n_classes = int(class_id.max()) + 1
-        sizes = np.bincount(class_id, minlength=n_classes)
-        unsep = int((sizes * (sizes - 1) // 2).sum())
-        round_no += 1
+            out.append(lines[win])
+        cls, (pid,) = _split(
+            cls, win_signs > 0, win_signs >= 0, 2, SeparationMode.RELAXED, 1, pid
+        )
+        row_of = np.full(n, -1)
+        row_of[pid] = np.arange(len(pid))
     _assert_separates(P, out, mode, "greedy_hitting_set")
     return out
 

@@ -277,3 +277,61 @@ def test_partition_non_separating_exits_3(tmp_path, capsys):
     )
     assert rc == EXIT_PRECONDITION
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# exit codes: no traceback leaves with exit 1 ("not separating")
+
+
+def test_strict_greedy_on_collinear_points_exits_0(tmp_path, capsys):
+    pf = tmp_path / "diag.txt"
+    pf.write_text("0 0\n1 1\n2 2\n")
+    rc = main(["solve", "--input", str(pf), "--algo", "greedy", "--mode", "strict"])
+    assert rc == EXIT_OK
+    lf = tmp_path / "diag.lines"
+    lf.write_text(capsys.readouterr().out)
+    assert main(["verify", "--points", str(pf), "--lines", str(lf), "--mode", "strict"]) == EXIT_OK
+    assert capsys.readouterr().out == "separating\n"
+
+
+@pytest.mark.parametrize("r", ["0", "-3"])
+def test_partition_nonpositive_r_exits_3(tmp_path, capsys, r):
+    pf, lf = _write_grid_instance(tmp_path)
+    rc = main(
+        ["partition", "--points", pf, "--lines", lf, "--r", r, "--out", str(tmp_path / "x.json")]
+    )
+    assert rc == EXIT_PRECONDITION
+    assert "--r must be at least 1" in capsys.readouterr().err
+
+
+def test_study_scaling_n_zero_exits_3(capsys):
+    rc = main(["study", "scaling", "--n", "0", "--trials", "1"])
+    assert rc == EXIT_PRECONDITION
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_partition_unwritable_out_exits_2(tmp_path, capsys):
+    pf, lf = _write_grid_instance(tmp_path)
+    out = tmp_path / "no-such-dir" / "part.json"
+    rc = main(["partition", "--points", pf, "--lines", lf, "--r", "4", "--out", str(out)])
+    assert rc == EXIT_PARSE
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_study_unwritable_csv_exits_2(tmp_path, capsys):
+    csv = tmp_path / "no-such-dir" / "out.csv"
+    rc = main(["study", "scaling", "--n", "64", "--trials", "1", "--csv", str(csv)])
+    assert rc == EXIT_PARSE
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_4(square_file, monkeypatch, capsys):
+    from seplines import cli
+
+    def boom(P, mode):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "greedy_hitting_set", boom)
+    rc = main(["solve", "--input", square_file, "--algo", "greedy"])
+    assert rc == EXIT_INTERNAL
+    assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
