@@ -26,6 +26,7 @@ from .sepsys import (
     CandidateLines,
     GeneralPositionError,
     PointSet,
+    PreconditionError,
     PropernessError,
     SeparationMode,
     TooFewPointsError,
@@ -37,7 +38,6 @@ from .sepsys import (
 from .solvers import (
     SizeCapError,
     SolveResult,
-    SolverConfig,
     SolverError,
     VerificationError,
     WeightState,
@@ -46,6 +46,7 @@ from .solvers import (
     grid_separator,
     halving_separator,
     reweight_approx,
+    solve,
     verify,
 )
 
@@ -59,12 +60,12 @@ __all__ = [
     "GeneralPositionError",
     "Point",
     "PointSet",
+    "PreconditionError",
     "PropernessError",
     "SegmentCrossing",
     "SeparationMode",
     "SizeCapError",
     "SolveResult",
-    "SolverConfig",
     "SolverError",
     "TooFewPointsError",
     "VerificationError",
@@ -88,5 +89,6 @@ __all__ = [
     "reweight_approx",
     "segment_crossing",
     "side",
+    "solve",
     "verify",
 ]

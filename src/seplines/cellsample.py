@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geom import CanonicalLine, Point, orient, sign
+from .geom import CanonicalLine, Point, orient, sign, splitmix64
 
 
 class DegeneracyError(ValueError):
@@ -76,14 +76,6 @@ def _size(node: Optional[_Node]) -> int:
     return node.size if node is not None else 0
 
 
-def _prio(key: int) -> int:
-    # splitmix64 of the key: deterministic, well-mixed priorities.
-    z = (key + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
-
-
 def _split(node: Optional[_Node], key: int):
     """(keys < key, keys >= key), copying the search path."""
     if node is None:
@@ -107,7 +99,7 @@ def _merge(a: Optional[_Node], b: Optional[_Node]) -> Optional[_Node]:
 
 def _insert(node: Optional[_Node], key: int) -> _Node:
     l, r = _split(node, key)
-    return _merge(_merge(l, _mk(key, _prio(key), None, None)), r)
+    return _merge(_merge(l, _mk(key, splitmix64(key), None, None)), r)
 
 
 def _delete(node: Optional[_Node], key: int) -> Optional[_Node]:
@@ -369,7 +361,8 @@ class MassTree:
             raise ValueError("support must be non-negative")
         if cell_id in self:
             raise ValueError(f"cell {cell_id} already present")
-        self._root = self._insert(self._root, _MassNode(cell_id, _prio(cell_id), support, depth))
+        node = _MassNode(cell_id, splitmix64(cell_id), support, depth)
+        self._root = self._insert(self._root, node)
 
     def update(self, cell_id: int, support: int, depth: int) -> None:
         node = self._root

@@ -22,29 +22,13 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .geom import CanonicalLine, Point
-from .sepsys import (
-    GeneralPositionError,
-    PointSet,
-    SeparationMode,
-    TooFewPointsError,
-    find_unseparated_pair,
-    properize,
-)
-from .solvers import (
-    EXACT_SIZE_CAP,
-    SizeCapError,
-    SolverConfig,
-    VerificationError,
-    _capacity,
-    exact_separability,
-    greedy_hitting_set,
-    grid_separator,
-    halving_separator,
-    reweight_approx,
-)
+from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair
+from .solvers import ALGOS, VerificationError, sigma_lower_bound, solve
+# Not called here: sepbench/test_layers.py checks that its tracer rebinds them in cli too.
+from .solvers import grid_separator, halving_separator  # noqa: F401
 from . import experiments as ex
 from . import partition2d as p2
 
@@ -123,14 +107,6 @@ def _mode(name: str) -> SeparationMode:
     return SeparationMode.STRICT if name == "strict" else SeparationMode.RELAXED
 
 
-def _sigma_lower_bound(n: int, mode: SeparationMode) -> int:
-    """Smallest t whose arrangement has at least n faces."""
-    t = 0
-    while _capacity(t, mode) < n:
-        t += 1
-    return t
-
-
 def _threads() -> int:
     raw = os.environ.get("SEP_THREADS", "1")
     try:
@@ -159,59 +135,25 @@ def _emit_json(obj) -> None:
 
 def cmd_solve(args) -> int:
     P = parse_point_file(args.input)
-    n = len(P)
-    if n < 2:
-        raise TooFewPointsError("solve needs at least 2 points")
-    mode = _mode(args.mode)
-    algo = args.algo
-    if algo == "auto":
-        algo = "exact" if n <= EXACT_SIZE_CAP else "greedy"
     t0 = time.perf_counter()
-    sigma: Optional[int] = None
-    rounds: Optional[int] = None
-    fell_back = False
-    if algo == "exact":
-        sigma, lines = exact_separability(P, mode)
-    elif algo == "greedy":
-        lines = greedy_hitting_set(P, mode)
-    elif algo == "reweight":
-        res = reweight_approx(P, SolverConfig(rng_seed=args.seed))
-        rounds = res.rounds_used
-        fell_back = res.fell_back
-        lines = res.lines
-        if mode is SeparationMode.STRICT:
-            lines = properize(lines, P)
-    elif algo == "halving":
-        if mode is not SeparationMode.STRICT:
-            raise SizeCapError("halving produces Strict separators; use --mode strict")
-        lines = halving_separator(P)
-    elif algo == "grid":
-        if any(not (0 <= p.x <= 1 and 0 <= p.y <= 1) for p in P):
-            raise SizeCapError("grid requires points in the unit square")
-        if mode is not SeparationMode.STRICT:
-            raise SizeCapError("grid produces Strict separators; use --mode strict")
-        lines = grid_separator(P, math.ceil(n ** (2 / 3)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseFileError(f"unknown algo {algo}")
+    res = solve(P, args.algo, _mode(args.mode), args.seed)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if find_unseparated_pair(P, lines, mode) is not None:
-        raise VerificationError("solver output failed verification")
     if args.json:
         summary = {
-            "algo": algo,
+            "algo": res.algo,
             "mode": args.mode,
-            "n": n,
-            "size": len(lines),
-            "sigma": sigma,
-            "sigma_lower_bound": _sigma_lower_bound(n, mode),
-            "rounds": rounds,
-            "fell_back": fell_back,
+            "n": len(P),
+            "size": len(res.lines),
+            "sigma": res.sigma,
+            "sigma_lower_bound": sigma_lower_bound(len(P), res.mode),
+            "rounds": res.rounds_used,
+            "fell_back": res.fell_back,
             "wall_time_ms": round(elapsed_ms, 3) if args.timing else None,
-            "lines": [[str(l.a), str(l.b), str(l.c)] for l in lines],
+            "lines": [[str(l.a), str(l.b), str(l.c)] for l in res.lines],
         }
         _emit_json(summary)
     else:
-        sys.stdout.write(format_lines(lines))
+        sys.stdout.write(format_lines(res.lines))
     return EXIT_OK
 
 
@@ -275,7 +217,7 @@ def cmd_study(args) -> int:
 
 def cmd_partition(args) -> int:
     if args.r < 1:
-        raise ex.PreconditionError(f"--r must be at least 1, got {args.r}")
+        raise PreconditionError(f"--r must be at least 1, got {args.r}")
     P = parse_point_file(args.points)
     lines = parse_line_file(args.lines)
     part = p2.build_partition(
@@ -309,11 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("solve", help="compute a separating line set")
     so.add_argument("--input", required=True)
-    so.add_argument(
-        "--algo",
-        choices=["auto", "exact", "greedy", "reweight", "halving", "grid"],
-        default="auto",
-    )
+    so.add_argument("--algo", choices=ALGOS, default="auto")
     so.add_argument("--mode", choices=["strict", "relaxed"], default="strict")
     so.add_argument("--seed", type=int, default=0)
     so.add_argument("--json", action="store_true")
@@ -362,14 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        TooFewPointsError,
-        SizeCapError,
-        GeneralPositionError,
-        ex.PreconditionError,
-        p2.NotSeparatingError,
-        p2.ArrangementCapError,
-    ) as e:
+    except PreconditionError as e:
         print(f"precondition: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
     except VerificationError as e:

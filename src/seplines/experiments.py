@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import CanonicalLine, Point
-from .sepsys import PointSet, SeparationMode, find_unseparated_pair, refine
+from .geom import CanonicalLine, Point, splitmix64
+from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair, refine
 from .solvers import VerificationError, grid_separator, halving_separator
 
 GRID_BITS = 40
@@ -25,20 +25,8 @@ GRID = 1 << GRID_BITS
 DENSE_BIN_CAP = 10 ** 7
 
 
-class PreconditionError(ValueError):
-    pass
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer."""
-    z = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
-
-
 def trial_seed(seed: int, trial: int) -> int:
-    return (seed ^ _mix64(trial)) & 0xFFFFFFFFFFFFFFFF
+    return (seed ^ splitmix64(trial)) & 0xFFFFFFFFFFFFFFFF
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +54,8 @@ def throw_balls(n_balls: int, n_bins: int, seed: int) -> BallsBinsStats:
     Bins are never materialized densely beyond 10^7; above that only the
     occupied bins are counted (via np.unique on the drawn bin ids).
     """
-    if n_balls < 0 or n_bins < 1:
-        raise PreconditionError("need n_balls >= 0 and n_bins >= 1")
+    if n_balls < 0 or not 1 <= n_bins < 2 ** 63:
+        raise PreconditionError("need n_balls >= 0 and 1 <= n_bins < 2^63")
     rng = np.random.default_rng(seed)
     if n_balls == 0:
         return BallsBinsStats(n_balls, n_bins, 0, 0, 0, 0, 0, 0)
@@ -163,8 +151,8 @@ def birthday_max_check(n_balls: int, c: float, trials: int, seed: int) -> Birthd
     """Throw n balls into ceil(c * n^2) bins; report the worst observed
     number of collided bins over the trials, and the same for colliding
     pairs, against the ln n / ln ln n yardstick."""
-    if c <= 0:
-        raise PreconditionError("c must be positive")
+    if not 0 < c < math.inf:
+        raise PreconditionError(f"c must be positive and finite, got {c}")
     if n_balls < 2 or trials < 1:
         raise PreconditionError("need n_balls >= 2 and trials >= 1")
     n_bins = math.ceil(c * n_balls ** 2)
@@ -422,11 +410,25 @@ def _run_trials(jobs, worker, threads: int) -> List[StudyRow]:
     return rows
 
 
-def _check_n_list(n_list: Sequence[int]) -> None:
+def _study_table(
+    kind: str, n_list: Sequence[int], trials: int, worker, threads: int
+) -> StudyTable:
+    """Check the study's sizes and trial count, run worker on every
+    (n, trial) job and fit the exponent of the mean separator size
+    against n."""
     if list(n_list) != sorted(set(n_list)):
         raise PreconditionError("n_list must be ascending and duplicate-free")
     if n_list and n_list[0] < 1:
         raise PreconditionError(f"every n must be at least 1, got {n_list[0]}")
+    if trials < 1:
+        raise PreconditionError(f"trials must be at least 1, got {trials}")
+    rows = _run_trials([(n, t) for n in n_list for t in range(trials)], worker, threads)
+    by_n: Dict[int, List[int]] = {}
+    for r in rows:
+        by_n.setdefault(r.n, []).append(r.separator_size)
+    ns = sorted(by_n)
+    exponent = fit_exponent(ns, [float(np.mean(by_n[n])) for n in ns])
+    return StudyTable(kind=kind, rows=rows, fitted_exponent=exponent)
 
 
 def scaling_study(
@@ -440,7 +442,6 @@ def scaling_study(
     """grid_separator sizes over random instances with N = ceil(n^(2/3)),
     plus active-cell and per-line crossing statistics, and the log-log
     fitted size exponent."""
-    _check_n_list(n_list)
 
     def worker(job) -> StudyRow:
         n, t = job
@@ -467,14 +468,7 @@ def scaling_study(
             wall_time_ms=round(elapsed, 3) if timing else None,
         )
 
-    jobs = [(n, t) for n in n_list for t in range(trials)]
-    rows = _run_trials(jobs, worker, threads)
-    by_n: Dict[int, List[int]] = {}
-    for r in rows:
-        by_n.setdefault(r.n, []).append(r.separator_size)
-    ns = sorted(by_n)
-    exponent = fit_exponent(ns, [float(np.mean(by_n[n])) for n in ns])
-    return StudyTable(kind="scaling", rows=rows, fitted_exponent=exponent)
+    return _study_table("scaling", n_list, trials, worker, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +641,6 @@ def t_relaxed_separator(P: PointSet, t: int) -> List[CanonicalLine]:
         lines.append(CanonicalLine.from_coeffs(N, 0, -i))
     for i in range(1, N):
         lines.append(CanonicalLine.from_coeffs(0, N, -i))
-    _, _, occ = _cell_stats(P, N)
     xs, ys, d = P.int_coords()
     cells: Dict[Tuple[int, int], List[int]] = {}
     for i in range(n):
@@ -684,7 +677,6 @@ def trelax_study(
     """t_relaxed_separator sizes over random instances; fitted exponent of
     the total line count vs n. Every output is verified to leave at most t
     points per face."""
-    _check_n_list(n_list)
 
     def worker(job) -> StudyRow:
         n, tr = job
@@ -708,11 +700,4 @@ def trelax_study(
             max_active_per_line=0,
         )
 
-    jobs = [(n, tr) for n in n_list for tr in range(trials)]
-    rows = _run_trials(jobs, worker, threads)
-    by_n: Dict[int, List[int]] = {}
-    for r in rows:
-        by_n.setdefault(r.n, []).append(r.separator_size)
-    ns = sorted(by_n)
-    exponent = fit_exponent(ns, [float(np.mean(by_n[n])) for n in ns])
-    return StudyTable(kind="trelax", rows=rows, fitted_exponent=exponent)
+    return _study_table("trelax", n_list, trials, worker, threads)

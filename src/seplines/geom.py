@@ -192,3 +192,11 @@ def common_denominator(points: Iterable[Point]) -> int:
     for p in points:
         d = math.lcm(d, p.x.denominator, p.y.denominator)
     return d
+
+
+def splitmix64(x: int) -> int:
+    """splitmix64 finalizer: a well-mixed 64-bit hash of an integer."""
+    z = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)

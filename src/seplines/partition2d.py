@@ -12,17 +12,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geom import CanonicalLine, Point, intersect_lines, orient, sign
-from .sepsys import PointSet, SeparationMode, find_unseparated_pair
+from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair
 
 ARRANGEMENT_LINE_CAP = 512
 MAX_SAMPLE_ATTEMPTS = 16
 
 
-class ArrangementCapError(ValueError):
+class ArrangementCapError(PreconditionError):
     pass
 
 
-class NotSeparatingError(ValueError):
+class NotSeparatingError(PreconditionError):
     pass
 
 
@@ -35,14 +35,10 @@ def _box_face(box: Box) -> Face:
     return (Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1))
 
 
-def _line_value(line: CanonicalLine, p: Point) -> Fraction:
-    return line.a * p.x + line.b * p.y + line.c
-
-
 def _split_face(face: Face, line: CanonicalLine) -> Tuple[Optional[Face], Optional[Face]]:
     """Split a convex face by a line into (negative-side, positive-side)
     pieces; a side the face does not reach comes back as None."""
-    vals = [_line_value(line, v) for v in face]
+    vals = [line.eval_at(v) for v in face]
     signs = [sign(v) for v in vals]
     if all(s >= 0 for s in signs):
         return None, face
@@ -261,13 +257,16 @@ def build_partition(
     A draw where some triangle exceeds n/r points is retried up to 16
     times; afterwards the best attempt is returned flagged non-conforming."""
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise PreconditionError(f"r must be at least 1, got {r}")
+    rho = alpha * math.sqrt(r)
+    size = rho * math.log(rho + 2) if alpha > 0 else math.nan
+    if not size < math.inf:
+        raise PreconditionError(f"alpha must be positive with a finite sample size, got {alpha}")
     bad = find_unseparated_pair(P, list(L_sep), mode)
     if bad is not None:
         raise NotSeparatingError(f"input lines do not separate pair {bad}")
     n = len(P)
-    rho = alpha * math.sqrt(r)
-    want = math.ceil(rho * math.log(rho + 2))
+    want = math.ceil(size)
     box = bounding_box(P)
     rng = np.random.default_rng(seed)
     cap = math.ceil(n / r)
@@ -313,7 +312,7 @@ def stabbing_stats(
     for line in test_lines:
         c = 0
         for tri in partition.triangles:
-            ss = [sign(_line_value(line, v)) for v in tri]
+            ss = [sign(line.eval_at(v)) for v in tri]
             if not (all(s > 0 for s in ss) or all(s < 0 for s in ss)):
                 c += 1
         counts.append(c)

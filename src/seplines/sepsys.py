@@ -43,15 +43,20 @@ def float_array(values: Sequence) -> np.ndarray:
     return np.array([conv(v) for v in values], dtype=np.float64)
 
 
-class TooFewPointsError(ValueError):
+class PreconditionError(ValueError):
+    """The input violates a stated precondition (the CLI exits 3). Every
+    such error of the library derives from this class."""
+
+
+class TooFewPointsError(PreconditionError):
     pass
 
 
-class GeneralPositionError(ValueError):
+class GeneralPositionError(PreconditionError):
     """Raised when an operation requires no three collinear points."""
 
 
-class PropernessError(ValueError):
+class PropernessError(PreconditionError):
     """Raised by properize when a line carries three or more points."""
 
 

@@ -1,4 +1,4 @@
-"""Separability solvers.
+"""Separability solvers, behind one entry point, :func:`solve`.
 
 * :func:`exact_separability` -- branch-and-bound optimum (n <= 14).
 * :func:`greedy_hitting_set` -- batched lazy greedy baseline.
@@ -18,7 +18,7 @@ every sign pattern a line can have on the point set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +31,7 @@ from .sepsys import (
     GeneralPositionError,
     PairId,
     PointSet,
+    PreconditionError,
     SeparationMode,
     TooFewPointsError,
     _KERNEL_THRESHOLD,
@@ -38,10 +39,17 @@ from .sepsys import (
     _split,
     candidate_lines,
     find_unseparated_pair,
+    properize,
     settle,
 )
 
 EXACT_SIZE_CAP = 14
+ALGOS = ("auto", "exact", "greedy", "reweight", "halving", "grid")
+
+# reweight_approx: guess k samples ceil(_C_NET * k * ln(k + 2)) candidate
+# lines a round, for at most ceil(_ROUND_CONSTANT * k * ln(n + 2)) rounds.
+_C_NET = 4
+_ROUND_CONSTANT = 16
 
 _STRICT_VARIANTS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 _RELAXED_VARIANTS = (
@@ -61,46 +69,29 @@ class VerificationError(SolverError):
     """A solver's own output failed re-verification (internal bug guard)."""
 
 
-class SizeCapError(ValueError):
+class SizeCapError(PreconditionError):
     pass
 
 
 # ---------------------------------------------------------------------------
-# configuration / results
-
-
-@dataclass
-class SolverConfig:
-    """Knobs for :func:`reweight_approx`.
-
-    ``c_net`` scales the epsilon-net sample size ceil(c_net * k * ln(k+2))
-    for guess k; ``max_rounds_constant`` scales the per-guess round budget
-    ceil(max_rounds_constant * k * ln(n+2)); ``initial_guess`` defaults to
-    ceil(sqrt(n)); ``prune`` drops redundant lines from a successful
-    sample before returning.
-    """
-
-    c_net: float = 4.0
-    max_rounds_constant: float = 16.0
-    initial_guess: Optional[int] = None
-    rng_seed: int = 0
-    prune: bool = True
-
-    def __post_init__(self):
-        if self.c_net <= 0 or self.max_rounds_constant <= 0:
-            raise ValueError("constants must be positive")
-        if self.initial_guess is not None and self.initial_guess < 1:
-            raise ValueError("initial_guess must be positive")
+# results
 
 
 @dataclass
 class SolveResult:
+    """Lines separating P under ``mode``, from the resolved ``algo``.
+    ``sigma`` is the optimum (exact only); the reweight fields stay at
+    their defaults for the other algorithms."""
+
     lines: List[CanonicalLine]
     mode: SeparationMode
-    rounds_used: int
-    guess_history: List[Tuple[int, int, bool]]  # (k, rounds, succeeded)
-    weight_doublings: int
-    fell_back: bool = False
+    algo: str
+    sigma: Optional[int] = None
+    rounds_used: Optional[int] = None
+    # (k, rounds, succeeded) per guess
+    guess_history: List[Tuple[int, int, bool]] = field(default_factory=list)
+    weight_doublings: int = 0
+    fell_back: bool = False  # reweight fell back to greedy
 
 
 class WeightState:
@@ -269,6 +260,14 @@ def _capacity(t: int, mode: SeparationMode) -> int:
     return 1 + 2 * t * t
 
 
+def sigma_lower_bound(n: int, mode: SeparationMode) -> int:
+    """Smallest t whose arrangement can hold n point classes."""
+    t = 0
+    while _capacity(t, mode) < n:
+        t += 1
+    return t
+
+
 def _max_class_size(n: int, pairs: List[PairId], covered: int) -> int:
     parent = list(range(n))
 
@@ -376,10 +375,7 @@ def exact_separability(
         memo[covered] = budget
         return False
 
-    lb = 1
-    while _capacity(lb, mode) < n:
-        lb += 1
-    lb = max(lb, disjoint_lb(0))
+    lb = max(sigma_lower_bound(n, mode), disjoint_lb(0))
     for t in range(lb, ub):
         chosen.clear()
         if dfs(0, t):
@@ -551,20 +547,10 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
 
 def _pair_hit_mask(P: PointSet, cand: CandidateLines, pair: PairId) -> np.ndarray:
     """Boolean mask over candidate lines that relaxed-hit the pair, exact."""
-    i, j = pair
+    idx = np.array(pair)
     A, B, C = cand.coeff_arrays()
     xf, yf = P.float_coords()
-    x2 = np.array([xf[i], xf[j]])
-    y2 = np.array([yf[i], yf[j]])
-    s, unc = _kernels.eval_signs(A, B, C, x2, y2)
-    bad = np.nonzero(unc.any(axis=0))[0]
-    if len(bad):
-        xs, ys, d = P.int_coords()
-        for li in bad:
-            line = cand.lines[li]
-            cd = line.c * d
-            s[0, li] = sign(line.a * xs[i] + line.b * ys[i] + cd)
-            s[1, li] = sign(line.a * xs[j] + line.b * ys[j] + cd)
+    s = settle(P, cand.lines, *_kernels.eval_signs(A, B, C, xf[idx], yf[idx]), idx)
     return s[0] != s[1]
 
 
@@ -583,25 +569,24 @@ def _prune_redundant(
     return kept
 
 
-def reweight_approx(P: PointSet, cfg: Optional[SolverConfig] = None) -> SolveResult:
+def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
     """Multiplicative-weights epsilon-net solver (Relaxed mode).
 
-    For a doubling guess k of the separability: sample
-    ceil(c_net * k * ln(k+2)) candidate lines by weight; on failure find an
-    unseparated pair and, if the lines hitting it carry at most an
+    For a doubling guess k of the separability, starting at ceil(sqrt(n)):
+    sample ceil(_C_NET * k * ln(k+2)) candidate lines by weight; on failure
+    find an unseparated pair and, if the lines hitting it carry at most an
     eps = 1/(4k) fraction of the total weight, double their weights.
-    Guesses exhaust after ceil(max_rounds_constant * k * ln(n+2)) rounds.
-    If k exceeds n the solver falls back to the greedy baseline (flagged).
+    Guesses exhaust after ceil(_ROUND_CONSTANT * k * ln(n+2)) rounds. A
+    successful sample is pruned of redundant lines. If k exceeds n the
+    solver falls back to the greedy baseline (flagged).
     """
-    if cfg is None:
-        cfg = SolverConfig()
     n = len(P)
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
     cand = candidate_lines(P)
     m = len(cand)
-    rng = np.random.default_rng(cfg.rng_seed)
-    k = cfg.initial_guess if cfg.initial_guess is not None else math.isqrt(n - 1) + 1
+    rng = np.random.default_rng(seed)
+    k = math.isqrt(n - 1) + 1
     total_rounds = 0
     doublings = 0
     history: List[Tuple[int, int, bool]] = []
@@ -609,21 +594,20 @@ def reweight_approx(P: PointSet, cfg: Optional[SolverConfig] = None) -> SolveRes
     while k <= n:
         ws = WeightState(m)
         eps = 1.0 / (4 * k)
-        sample_size = math.ceil(cfg.c_net * k * math.log(k + 2))
-        round_cap = math.ceil(cfg.max_rounds_constant * k * math.log(n + 2))
+        sample_size = math.ceil(_C_NET * k * math.log(k + 2))
+        round_cap = math.ceil(_ROUND_CONSTANT * k * math.log(n + 2))
         for r in range(1, round_cap + 1):
             total_rounds += 1
             idx = np.unique(ws.sample(rng, sample_size))
             R = [cand.lines[i] for i in idx.tolist()]
             pair = find_unseparated_pair(P, R, SeparationMode.RELAXED)
             if pair is None:
-                if cfg.prune:
-                    R = _prune_redundant(P, R, SeparationMode.RELAXED)
+                # R separates, and pruning keeps only sets it has verified.
                 history.append((k, r, True))
-                _assert_separates(P, R, SeparationMode.RELAXED, "reweight_approx")
                 return SolveResult(
-                    lines=R,
+                    lines=_prune_redundant(P, R, SeparationMode.RELAXED),
                     mode=SeparationMode.RELAXED,
+                    algo="reweight",
                     rounds_used=total_rounds,
                     guess_history=history,
                     weight_doublings=doublings,
@@ -637,11 +621,10 @@ def reweight_approx(P: PointSet, cfg: Optional[SolverConfig] = None) -> SolveRes
                 doublings += 1
         history.append((k, round_cap, False))
         k *= 2
-    lines = greedy_hitting_set(P, SeparationMode.RELAXED)
-    _assert_separates(P, lines, SeparationMode.RELAXED, "reweight_approx")
     return SolveResult(
-        lines=lines,
+        lines=greedy_hitting_set(P, SeparationMode.RELAXED),
         mode=SeparationMode.RELAXED,
+        algo="reweight",
         rounds_used=total_rounds,
         guess_history=history,
         weight_doublings=doublings,
@@ -814,9 +797,9 @@ def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
 
     n = len(P)
     if N < 1:
-        raise ValueError("N must be positive")
+        raise PreconditionError(f"grid size N must be positive, got {N}")
     if any(not (0 <= p.x <= 1 and 0 <= p.y <= 1) for p in P):
-        raise ValueError("grid_separator requires P within the unit square")
+        raise PreconditionError("grid requires points in the unit square")
     lines: List[CanonicalLine] = []
     for i in range(1, N):
         lines.append(CanonicalLine.from_coeffs(N, 0, -i))
@@ -862,3 +845,42 @@ def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
         if guard > n:
             raise SolverError("grid_separator fix-up did not converge (internal bug)")
     return lines
+
+
+# ---------------------------------------------------------------------------
+# the entry point
+
+
+def solve(
+    P: PointSet, algo: str = "auto", mode: SeparationMode = SeparationMode.STRICT, seed: int = 0
+) -> SolveResult:
+    """Separate P with one of the ALGOS. ``auto`` is exact up to
+    EXACT_SIZE_CAP points and greedy above; halving and grid separate
+    strictly only; grid uses N = ceil(n^(2/3)); reweight separates in
+    relaxed mode and is properized for strict mode. Each solver verifies
+    its own output, and properize's output is verified here, so every
+    result is checked exactly once."""
+    n = len(P)
+    if algo not in ALGOS:
+        raise PreconditionError(f"unknown algorithm {algo!r}; choose from {ALGOS}")
+    if n < 2:
+        raise TooFewPointsError("solve needs at least 2 points")
+    if algo == "auto":
+        algo = "exact" if n <= EXACT_SIZE_CAP else "greedy"
+    if algo in ("halving", "grid") and mode is not SeparationMode.STRICT:
+        raise PreconditionError(f"{algo} produces Strict separators; use strict mode")
+    if algo == "exact":
+        sigma, lines = exact_separability(P, mode)
+        return SolveResult(lines, mode, algo, sigma=sigma)
+    if algo == "greedy":
+        return SolveResult(greedy_hitting_set(P, mode), mode, algo)
+    if algo == "halving":
+        return SolveResult(halving_separator(P), mode, algo)
+    if algo == "grid":
+        return SolveResult(grid_separator(P, math.ceil(n ** (2 / 3))), mode, algo)
+    res = reweight_approx(P, seed)
+    if mode is SeparationMode.STRICT:
+        lines = properize(res.lines, P)
+        _assert_separates(P, lines, mode, "properize")
+        res = replace(res, lines=lines, mode=mode)
+    return res

@@ -26,7 +26,6 @@ from seplines.cli import main as cli_main
 from seplines.geom import CanonicalLine, Point, intersect_lines, orient, pt
 from seplines.sepsys import PointSet, SeparationMode
 from seplines.solvers import (
-    SolverConfig,
     exact_separability,
     greedy_hitting_set,
     halving_separator,
@@ -155,7 +154,7 @@ def test_criterion_04_reweighting_quality():
         sigma, _ = exact_separability(P, RELAXED)
         bound = 4 * sigma * math.log(sigma + 2)
         for seed in range(5):
-            res = reweight_approx(P, SolverConfig(rng_seed=seed))
+            res = reweight_approx(P, seed=seed)
             assert verify(P, res.lines, RELAXED)
             assert len(res.lines) <= bound, (inst, n, sigma, len(res.lines))
             worst_ratio = max(worst_ratio, len(res.lines) / bound)
@@ -164,7 +163,7 @@ def test_criterion_04_reweighting_quality():
         P = ex.random_points(n, 44)
         greedy = greedy_hitting_set(P, RELAXED)
         assert verify(P, greedy, RELAXED)
-        res = reweight_approx(P, SolverConfig(rng_seed=0))
+        res = reweight_approx(P, seed=0)
         assert verify(P, res.lines, RELAXED)
         ratio = len(res.lines) / len(greedy)
         assert ratio <= 3.0, (n, len(res.lines), len(greedy))

@@ -326,12 +326,61 @@ def test_study_unwritable_csv_exits_2(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_4(square_file, monkeypatch, capsys):
-    from seplines import cli
+    from seplines import solvers
 
     def boom(P, mode):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr(cli, "greedy_hitting_set", boom)
+    monkeypatch.setattr(solvers, "greedy_hitting_set", boom)
     rc = main(["solve", "--input", square_file, "--algo", "greedy"])
     assert rc == EXIT_INTERNAL
     assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
+
+
+def test_strict_reweight_on_collinear_points_exits_3(tmp_path, capsys):
+    # properize cannot split a line through three points; that is a
+    # precondition failure, not an internal error.
+    pf = tmp_path / "coll.txt"
+    pf.write_text("0 2\n1 1\n1 2\n1 0\n2 0\n")
+    argv = ["solve", "--input", str(pf), "--algo", "reweight", "--mode", "strict", "--seed", "0"]
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["-5", "nan", "inf", "0"])
+def test_partition_bad_alpha_exits_3(tmp_path, capsys, alpha):
+    pf, lf = _write_grid_instance(tmp_path)
+    rc = main(
+        ["partition", "--points", pf, "--lines", lf, "--r", "4", "--alpha", alpha,
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "alpha must be positive" in err and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_study_birthday_nonfinite_c_exits_3(capsys, c):
+    rc = main(["study", "birthday", "--n-balls", "100", "--c", c, "--trials", "2"])
+    assert rc == EXIT_PRECONDITION
+    assert "c must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["birthday", "--n-balls", "100", "--c", "1e300"],
+     ["balls-bins", "--n-balls", "10", "--n-bins", str(10 ** 23)]],
+)
+def test_study_bins_beyond_int64_exits_3(capsys, argv):
+    assert main(["study"] + argv + ["--trials", "1"]) == EXIT_PRECONDITION
+    assert "n_bins < 2^63" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["scaling", "trelax"])
+def test_study_zero_trials_exits_3(capsys, what):
+    rc = main(["study", what, "--n", "64", "--trials", "0"])
+    assert rc == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trials must be at least 1" in captured.err

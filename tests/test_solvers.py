@@ -9,7 +9,6 @@ from seplines.sepsys import PointSet, SeparationMode, TooFewPointsError, properi
 from seplines.solvers import (
     EXACT_SIZE_CAP,
     SizeCapError,
-    SolverConfig,
     WeightState,
     _capacity,
     exact_separability,
@@ -139,7 +138,7 @@ def test_greedy_deterministic():
 def test_reweight_returns_verified_relaxed_set():
     for seed in range(3):
         P = rand_general_position_points(10, seed=600 + seed)
-        res = reweight_approx(P, SolverConfig(rng_seed=seed))
+        res = reweight_approx(P, seed=seed)
         assert verify(P, res.lines, RELAXED)
         assert res.rounds_used >= 0
         assert res.guess_history
@@ -147,24 +146,25 @@ def test_reweight_returns_verified_relaxed_set():
 
 def test_reweight_deterministic_per_seed():
     P = rand_general_position_points(10, seed=42)
-    r1 = reweight_approx(P, SolverConfig(rng_seed=5))
-    r2 = reweight_approx(P, SolverConfig(rng_seed=5))
+    r1 = reweight_approx(P, seed=5)
+    r2 = reweight_approx(P, seed=5)
     assert r1.lines == r2.lines
     assert r1.rounds_used == r2.rounds_used
 
 
-def test_reweight_prune_never_hurts():
+def test_reweight_output_is_irredundant():
+    # Pruning is always on: dropping any one output line breaks separation.
     P = rand_general_position_points(12, seed=43)
-    pruned = reweight_approx(P, SolverConfig(rng_seed=1, prune=True))
-    raw = reweight_approx(P, SolverConfig(rng_seed=1, prune=False))
-    assert len(pruned.lines) <= len(raw.lines)
-    assert verify(P, pruned.lines, RELAXED)
-    assert verify(P, raw.lines, RELAXED)
+    res = reweight_approx(P, seed=1)
+    lines = res.lines
+    assert not res.fell_back and verify(P, lines, RELAXED)
+    for i in range(len(lines)):
+        assert not verify(P, lines[:i] + lines[i + 1 :], RELAXED), i
 
 
 def test_reweight_then_properize_gives_strict():
     P = rand_general_position_points(9, seed=44)
-    res = reweight_approx(P, SolverConfig(rng_seed=2))
+    res = reweight_approx(P, seed=2)
     strict = properize(res.lines, P)
     assert verify(P, strict, STRICT)
     assert len(strict) <= 3 * len(res.lines)
