@@ -75,22 +75,20 @@ class CanonicalLine:
             raise ValueError("degenerate line: a = b = 0")
         if not (self.a > 0 or (self.a == 0 and self.b > 0)):
             raise ValueError(f"non-canonical sign: {(self.a, self.b, self.c)}")
-        if math.gcd(math.gcd(abs(self.a), abs(self.b)), abs(self.c)) != 1:
+        if math.gcd(self.a, self.b, self.c) != 1:
             raise ValueError(f"non-canonical gcd: {(self.a, self.b, self.c)}")
 
     @staticmethod
     def from_coeffs(a, b, c) -> "CanonicalLine":
         """Build a canonical line from arbitrary rational coefficients."""
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        if a == 0 and b == 0:
-            raise ValueError("degenerate line: a = b = 0")
         den = math.lcm(a.denominator, b.denominator, c.denominator)
-        ai, bi, ci = int(a * den), int(b * den), int(c * den)
-        g = math.gcd(math.gcd(abs(ai), abs(bi)), abs(ci))
-        ai, bi, ci = ai // g, bi // g, ci // g
-        if ai < 0 or (ai == 0 and bi < 0):
-            ai, bi, ci = -ai, -bi, -ci
-        return CanonicalLine(ai, bi, ci)
+        return CanonicalLine.from_ints(int(a * den), int(b * den), int(c * den))
+
+    @staticmethod
+    def from_ints(a: int, b: int, c: int) -> "CanonicalLine":
+        """Build a canonical line from integer coefficients."""
+        return CanonicalLine(*canonical_ints(a, b, c))
 
     def eval_at(self, p: Point) -> Fraction:
         """Exact value of a*x + b*y + c at p."""
@@ -121,6 +119,28 @@ def orient(p: Point, q: Point, r: Point) -> int:
     """Sign of the determinant |q-p, r-p|: +1 counterclockwise, 0 collinear,
     -1 clockwise. Exact."""
     return sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+
+
+def canonical_ints(a: int, b: int, c: int) -> Tuple[int, int, int]:
+    """The canonical coefficients (see CanonicalLine) of the line
+    a*x + b*y + c = 0 with integer coefficients."""
+    if a == 0 and b == 0:
+        raise ValueError("degenerate line: a = b = 0")
+    g = math.gcd(a, b, c)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return a // g, b // g, c // g
+
+
+def int_line_through(x1: int, y1: int, x2: int, y2: int, d: int) -> Tuple[int, int, int]:
+    """Canonical coefficients of the line through the distinct points
+    (x1/d, y1/d) and (x2/d, y2/d), in integers."""
+    a = y2 - y1
+    b = x1 - x2
+    c = -(a * x1 + b * y1)
+    if a == 0 and b == 0:
+        raise DegeneratePairError("int_line_through needs distinct points")
+    return canonical_ints(a * d, b * d, c)
 
 
 def line_through(p: Point, q: Point) -> CanonicalLine:

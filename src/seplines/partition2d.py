@@ -258,7 +258,10 @@ def build_partition(
     times; afterwards the best attempt is returned flagged non-conforming."""
     if r < 1:
         raise PreconditionError(f"r must be at least 1, got {r}")
-    rho = alpha * math.sqrt(r)
+    try:
+        rho = alpha * math.sqrt(r)
+    except OverflowError:
+        raise PreconditionError(f"r is too large for a float: {int(r).bit_length()} bits") from None
     size = rho * math.log(rho + 2) if alpha > 0 else math.nan
     if not size < math.inf:
         raise PreconditionError(f"alpha must be positive with a finite sample size, got {alpha}")

@@ -8,14 +8,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .geom import CanonicalLine, Point, line_through, side, sign
+from .geom import CanonicalLine, Point, int_line_through, side, sign
 
 PairId = Tuple[int, int]
 
@@ -40,6 +39,9 @@ def float_array(values: Sequence) -> np.ndarray:
         e = v.numerator.bit_length() - v.denominator.bit_length()
         return float(v) if not v or -_FLOAT_EXP < e < _FLOAT_EXP else math.nan
 
+    if all(type(v) is int for v in values):
+        if max(map(abs, values), default=0).bit_length() <= _FLOAT_EXP:
+            return np.array(values, dtype=np.float64)  # numpy rounds ints as float() does
     return np.array([conv(v) for v in values], dtype=np.float64)
 
 
@@ -197,17 +199,7 @@ def candidate_lines(P: PointSet) -> CandidateLines:
     for i in range(n):
         xi, yi = xs[i], ys[i]
         for j in range(i + 1, n):
-            # Line through grid points (xi, yi), (xj, yj); in unit
-            # coordinates the coefficients pick up a factor D on a and b.
-            a = ys[j] - yi
-            b = xi - xs[j]
-            c = -(a * xi + b * yi)
-            a, b = a * d, b * d
-            g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-            a, b, c = a // g, b // g, c // g
-            if a < 0 or (a == 0 and b < 0):
-                a, b, c = -a, -b, -c
-            by_line.setdefault((a, b, c), []).append((i, j))
+            by_line.setdefault(int_line_through(xi, yi, xs[j], ys[j], d), []).append((i, j))
     lines = []
     incident = []
     for coeffs, prs in by_line.items():
@@ -369,41 +361,58 @@ def find_unseparated_pair(
     return min(((int(c[0]), int(c[1])) for c in classes), default=None)
 
 
-def _perp_bisector(p: Point, q: Point) -> CanonicalLine:
-    a = 2 * (q.x - p.x)
-    b = 2 * (q.y - p.y)
-    c = (p.x * p.x + p.y * p.y) - (q.x * q.x + q.y * q.y)
-    return CanonicalLine.from_coeffs(a, b, c)
-
-
-def _rotate_off_points(
-    line: CanonicalLine, keep: Tuple[Point, Point], P: PointSet
-) -> CanonicalLine:
-    """Perturb a line (by rotation along itself) so that it contains no
-    point of P, while preserving the strict sides of all points currently
-    off the line. ``keep`` are the two points the line strictly separates;
-    their sides are preserved too."""
-    vals = {i: line.eval_at(p) for i, p in enumerate(P)}
-    on_idx = [i for i, v in vals.items() if v == 0]
-    if not on_idx:
-        return line
-    # h(p) grows along the line direction from a pivot placed beyond all
-    # on-line points, so h is nonzero at each of them.
-    dx, dy = Fraction(-line.b), Fraction(line.a)
-    pos = {i: dx * P[i].x + dy * P[i].y for i in on_idx}
-    pivot_t = min(pos.values()) - 1
-    # h(p) = dx*p.x + dy*p.y - pivot_t ; zero only on a line transversal
-    # to `line` at the pivot.
-    bounds = []
-    for i, v in vals.items():
-        if v == 0:
-            continue
-        h = abs(dx * P[i].x + dy * P[i].y - pivot_t)
-        bounds.append(abs(v) / (2 * (h + 1)))
-    t = min(bounds) if bounds else Fraction(1)
-    return CanonicalLine.from_coeffs(
-        line.a + t * dx, line.b + t * dy, line.c - t * pivot_t
+def _perp_bisector(P: PointSet, i: int, j: int) -> CanonicalLine:
+    """The perpendicular bisector of points i and j of P."""
+    xs, ys, d = P.int_coords()
+    return CanonicalLine.from_ints(
+        2 * d * (xs[j] - xs[i]),
+        2 * d * (ys[j] - ys[i]),
+        xs[i] ** 2 + ys[i] ** 2 - xs[j] ** 2 - ys[j] ** 2,
     )
+
+
+def rotate_line(
+    P: PointSet, line: CanonicalLine, g: Tuple[int, int, int], k: int, s: int, cap: bool
+) -> CanonicalLine:
+    """The line f + t*h that keeps the strict side of every point of P off
+    the line f, with h(x, y) = (g0*X + g1*Y + g2) / k at X = D*x, Y = D*y
+    (D the common denominator of P, k > 0) and sign(t) = s. |t| is the
+    least of |f(p)| / (2(|h(p)| + 1)) over the points off f, or 1 if there
+    are none; with ``cap`` it is at most 1. Exact, in integers."""
+    xs, ys, d = P.int_coords()
+    a, b, c = line.coeffs()
+    g0, g1, g2 = g
+    # With V = D*f(p) and G = k*h(p) at a point, the point's bound is
+    # |V| * k / (2D(|G| + k)); num / den is the least |V| / (|G| + k).
+    num, den = 0, 0
+    for x, y in zip(xs, ys):
+        v = abs(a * x + b * y + c * d)
+        if v:
+            w = abs(g0 * x + g1 * y + g2) + k
+            if not den or v * den < num * w:
+                num, den = v, w
+    if not den or (cap and num * k > 2 * d * den):
+        num, den = 2 * d, k  # t = s
+    # t = s * num * k / (2D * den); the coefficients of f + t*h times 2D * den.
+    return CanonicalLine.from_ints(
+        d * (2 * a * den + s * num * g0),
+        d * (2 * b * den + s * num * g1),
+        2 * c * d * den + s * num * g2,
+    )
+
+
+def _rotate_off_points(P: PointSet, line: CanonicalLine) -> CanonicalLine:
+    """Rotate a line about a pivot on it, beyond every point of P it
+    carries, so that it carries none, keeping the strict side of every
+    point off it."""
+    xs, ys, d = P.int_coords()
+    a, b, c = line.coeffs()
+    # D times the position along the line, direction (-b, a), of each
+    # point on it; the pivot lies one unit before the first of them.
+    along = [a * y - b * x for x, y in zip(xs, ys) if a * x + b * y + c * d == 0]
+    if not along:
+        return line
+    return rotate_line(P, line, (-b, a, d - min(along)), d, 1, False)
 
 
 def properize(lines: Sequence[CanonicalLine], P: PointSet) -> List[CanonicalLine]:
@@ -417,33 +426,26 @@ def properize(lines: Sequence[CanonicalLine], P: PointSet) -> List[CanonicalLine
     carrying no points pass through unchanged. Requires that no line
     carries three or more points.
     """
+    xs, ys, d = P.int_coords()
     out: List[CanonicalLine] = []
     for line in lines:
-        vals = [line.eval_at(p) for p in P]
-        on_pts = [P[i] for i, v in enumerate(vals) if v == 0]
-        if len(on_pts) >= 3:
+        a, b, c = line.coeffs()
+        vals = [a * x + b * y + c * d for x, y in zip(xs, ys)]  # D * value
+        on = [i for i, v in enumerate(vals) if v == 0]
+        if len(on) >= 3:
             raise PropernessError(
-                f"line {line} contains {len(on_pts)} points; properize "
+                f"line {line} contains {len(on)} points; properize "
                 "requires general position (at most 2 per line)"
             )
-        if not on_pts:
+        if not on:
             out.append(line)
             continue
-        nonzero = [abs(v) for v in vals if v != 0]
-        delta = min(nonzero) if nonzero else Fraction(1)
-        half = delta / 2
-        out.append(CanonicalLine.from_coeffs(line.a, line.b, line.c - half))
-        out.append(CanonicalLine.from_coeffs(line.a, line.b, line.c + half))
-        if len(on_pts) == 2:
-            u, v = on_pts
-            bis = _perp_bisector(u, v)
-            out.append(_rotate_off_points(bis, (u, v), P))
+        # Shift by half the least |value| off the line (1/2 if none).
+        delta = min((abs(v) for v in vals if v), default=d)
+        out.append(CanonicalLine.from_ints(2 * d * a, 2 * d * b, 2 * d * c - delta))
+        out.append(CanonicalLine.from_ints(2 * d * a, 2 * d * b, 2 * d * c + delta))
+        if len(on) == 2:
+            out.append(_rotate_off_points(P, _perp_bisector(P, *on)))
     # Dedup while preserving order (parallel copies of distinct input
     # lines can coincide only by accident, but keep the contract tight).
-    seen = set()
-    uniq = []
-    for l in out:
-        if l not in seen:
-            seen.add(l)
-            uniq.append(l)
-    return uniq
+    return list(dict.fromkeys(out))

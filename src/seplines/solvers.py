@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .geom import CanonicalLine, Point, line_through, sign
+from .geom import CanonicalLine, Point, int_line_through, line_through, sign
 from .sepsys import (
     CandidateLines,
     GeneralPositionError,
@@ -39,7 +39,9 @@ from .sepsys import (
     _split,
     candidate_lines,
     find_unseparated_pair,
+    line_signs,
     properize,
+    rotate_line,
     settle,
 )
 
@@ -141,56 +143,31 @@ class WeightState:
 # variant realization
 
 
-def _rotate(
-    base: CanonicalLine,
-    vals: Sequence[Fraction],
-    pivot: Point,
-    direction: Tuple[Fraction, Fraction],
-    t_sign: int,
-) -> CanonicalLine:
-    """Perturb base to base + t*h where h(p) = direction . (p - pivot),
-    with |t| small enough to preserve every nonzero sign in vals and
-    sign(t) = t_sign."""
-    dx, dy = direction
-    bounds = [Fraction(1)]
-    for v, h in vals:
-        if v != 0:
-            bounds.append(abs(v) / (2 * (abs(h) + 1)))
-    t = t_sign * min(bounds)
-    return CanonicalLine.from_coeffs(
-        base.a + t * dx, base.b + t * dy, base.c - t * (dx * pivot.x + dy * pivot.y)
-    )
-
-
 def realize_variant(
     P: PointSet, u: int, v: int, su: int, sv: int
 ) -> CanonicalLine:
     """Concrete line realizing the (su, sv) variant of the line through
     P[u], P[v]: points u and v get sides su and sv (0 = on the line) and
     every point strictly off the base line keeps its side."""
-    pu, pv = P[u], P[v]
-    base = line_through(pu, pv)
+    xs, ys, d = P.int_coords()
+    base = CanonicalLine(*int_line_through(xs[u], ys[u], xs[v], ys[v], d))
     if su == 0 and sv == 0:
         return base
-    vals = [base.eval_at(p) for p in P]
-    if su == sv:  # translate
-        nonzero = [abs(x) for x in vals if x != 0]
-        t = su * (min(nonzero) if nonzero else Fraction(2)) / 2
-        return CanonicalLine.from_coeffs(base.a, base.b, base.c + t)
-    if su == 0 or sv == 0:  # rotate about the point staying on the line
-        pivot, mover, s_target = (pu, pv, sv) if su == 0 else (pv, pu, su)
-        dx, dy = mover.x - pivot.x, mover.y - pivot.y
-    else:  # opposite sides: rotate about the midpoint
-        pivot = Point((pu.x + pv.x) / 2, (pu.y + pv.y) / 2)
-        dx, dy = pu.x - pivot.x, pu.y - pivot.y
-        s_target = su  # h(pu) = |pu - pivot|^2 > 0, so sign(t) = su
-    pairs = [
-        (vals[i], dx * (P[i].x - pivot.x) + dy * (P[i].y - pivot.y))
-        for i in range(len(P))
-    ]
-    # h at the moving point is dir . (mover - pivot) = |dir|^2 > 0 in the
-    # one-point case, so sign(t) must equal the target sign there too.
-    return _rotate(base, pairs, pivot, (dx, dy), s_target)
+    a, b, c = base.coeffs()
+    if su == sv:  # translate by half the least |value| off the line (1 if none)
+        vals = (abs(a * x + b * y + c * d) for x, y in zip(xs, ys))  # D * |value|
+        delta = min((w for w in vals if w), default=2 * d)
+        return CanonicalLine.from_ints(2 * d * a, 2 * d * b, 2 * d * c + su * delta)
+    # Rotate by base + t*h with h(p) = dir . (p - pivot). h at the moving
+    # point is |dir|^2 > 0, so sign(t) is the side it must reach.
+    if su == 0 or sv == 0:  # about the point staying on the line
+        p, q, s = (u, v, sv) if su == 0 else (v, u, su)
+        gx, gy = xs[q] - xs[p], ys[q] - ys[p]
+        return rotate_line(P, base, (gx, gy, -(gx * xs[p] + gy * ys[p])), d * d, s, True)
+    # opposite sides: about the midpoint, toward P[u]
+    gx, gy = xs[u] - xs[v], ys[u] - ys[v]
+    h0 = -(gx * (xs[u] + xs[v]) + gy * (ys[u] + ys[v]))
+    return rotate_line(P, base, (2 * gx, 2 * gy, h0), 4 * d * d, su, True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,38 +192,27 @@ def _exact_pool(P: PointSet, mode: SeparationMode):
     """Realized variant lines with exact pair-coverage bitmasks, deduplicated
     and dominance-filtered. Returns (entries, pair_count) where each entry
     is (coeff_key, mask, line)."""
-    n = len(P)
     pairs = P.pairs()
-    pair_bit = {pr: k for k, pr in enumerate(pairs)}
     variants = _STRICT_VARIANTS if mode is SeparationMode.STRICT else _RELAXED_VARIANTS
-    raw = []
-    for (i, j) in pairs:
-        for su, sv in variants:
-            line = realize_variant(P, i, j, su, sv)
-            row = [sign(line.eval_at(p)) for p in P]
-            mask = 0
-            for (a, b), k in pair_bit.items():
-                hit = (
-                    row[a] * row[b] == -1
-                    if mode is SeparationMode.STRICT
-                    else row[a] != row[b]
-                )
-                if hit:
-                    mask |= 1 << k
-            if mask:
-                raw.append((line.coeffs(), mask, line))
-    raw.sort(key=lambda e: e[0])
-    by_mask: Dict[int, Tuple] = {}
-    for e in raw:
-        by_mask.setdefault(e[1], e)
-    entries = list(by_mask.values())
-    # Dominance: drop entries whose coverage is a strict subset of another's.
-    keep = []
-    for e in entries:
-        if not any(
-            e[1] != o[1] and e[1] | o[1] == o[1] for o in entries
-        ):
-            keep.append(e)
+    pool = [realize_variant(P, i, j, su, sv) for i, j in pairs for su, sv in variants]
+    S = line_signs(P, pool)
+    I, J = np.array(pairs).T
+    hit = S[I] * S[J] == -1 if mode is SeparationMode.STRICT else S[I] != S[J]
+    # Bit k of a line's mask is set iff it hits pair k.
+    packed = np.ascontiguousarray(np.packbits(hit, axis=0, bitorder="little").T)
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    # The first line in coefficient order of each distinct nonzero mask.
+    first: Dict[int, int] = {}
+    for e in sorted(range(len(pool)), key=lambda e: pool[e].coeffs()):
+        if masks[e]:
+            first.setdefault(masks[e], e)
+    ids = np.array(list(first.values()), dtype=np.int64)
+    # Dominance: drop lines whose coverage is a strict subset of another's,
+    # that is, which share all their pairs with a line hitting more.
+    H = hit[:, ids].astype(np.float32)
+    size = H.sum(axis=0)
+    dominated = ((H.T @ H == size[:, None]) & (size > size[:, None])).any(axis=1)
+    keep = [(pool[e].coeffs(), masks[e], pool[e]) for e in ids[~dominated].tolist()]
     keep.sort(key=lambda e: e[0])
     return keep, len(pairs)
 
@@ -277,11 +243,14 @@ def _max_class_size(n: int, pairs: List[PairId], covered: int) -> int:
             x = parent[x]
         return x
 
-    for k, (i, j) in enumerate(pairs):
-        if not covered >> k & 1:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+    uncovered = ~covered & ((1 << len(pairs)) - 1)
+    while uncovered:
+        low = uncovered & -uncovered
+        uncovered ^= low
+        i, j = pairs[low.bit_length() - 1]
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     sizes: Dict[int, int] = {}
     for i in range(n):
         r = find(i)
@@ -554,19 +523,16 @@ def _pair_hit_mask(P: PointSet, cand: CandidateLines, pair: PairId) -> np.ndarra
     return s[0] != s[1]
 
 
-def _prune_redundant(
-    P: PointSet, lines: List[CanonicalLine], mode: SeparationMode
-) -> List[CanonicalLine]:
-    """Drop lines whose removal keeps the set separating (first-to-last)."""
-    kept = list(lines)
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1 :]
-        if trial and verify(P, trial, mode):
-            kept = trial
-        else:
-            i += 1
-    return kept
+def _prune_redundant(P: PointSet, lines: List[CanonicalLine]) -> List[CanonicalLine]:
+    """Drop lines, first to last, whose removal keeps the set separating
+    in relaxed mode, that is, keeps the points' exact sign rows distinct."""
+    S = line_signs(P, lines)
+    keep = np.ones(len(lines), dtype=bool)
+    for i in range(len(lines)):
+        keep[i] = False
+        if not keep.any() or len({row.tobytes() for row in S[:, keep]}) < len(P):
+            keep[i] = True
+    return [l for l, k in zip(lines, keep) if k]
 
 
 def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
@@ -602,10 +568,12 @@ def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
             R = [cand.lines[i] for i in idx.tolist()]
             pair = find_unseparated_pair(P, R, SeparationMode.RELAXED)
             if pair is None:
-                # R separates, and pruning keeps only sets it has verified.
                 history.append((k, r, True))
+                lines = _prune_redundant(P, R)
+                if len(lines) < len(R):  # R itself was just verified
+                    _assert_separates(P, lines, SeparationMode.RELAXED, "reweight_approx")
                 return SolveResult(
-                    lines=_prune_redundant(P, R, SeparationMode.RELAXED),
+                    lines=lines,
                     mode=SeparationMode.RELAXED,
                     algo="reweight",
                     rounds_used=total_rounds,
@@ -711,15 +679,11 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
         for ii in range(len(active)):
             for jj in range(ii + 1, len(active)):
                 u, v = active[ii], active[jj]
-                a = ys[v] - ys[u]
-                b = xs[u] - xs[v]
-                c = -(a * xs[u] + b * ys[u])
-                if a < 0 or (a == 0 and b < 0):
-                    # Match the canonical orientation realize_variant uses.
-                    a, b, c = -a, -b, -c
+                # The base line realize_variant perturbs, with its orientation.
+                a, b, c = int_line_through(xs[u], ys[u], xs[v], ys[v], d)
                 lpos = lneg = rpos = rneg = 0
                 for w in active:
-                    s = sign(a * xs[w] + b * ys[w] + c * 1)
+                    s = sign(a * xs[w] + b * ys[w] + c * d)
                     if w in left:
                         lpos += s > 0
                         lneg += s < 0
@@ -772,7 +736,7 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
             )
         )
     elif (nl, nr) == (2, 1) or (nl, nr) == (2, 0):
-        lines.append(_perp_bisector(P[active_L[0]], P[active_L[1]]))
+        lines.append(_perp_bisector(P, active_L[0], active_L[1]))
 
     expected = (n + 1) // 2
     if len(lines) != expected:
@@ -830,7 +794,7 @@ def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
     for key in sorted(cells):
         idxs = cells[key]
         if len(idxs) == 2:
-            lines.append(_perp_bisector(P[idxs[0]], P[idxs[1]]))
+            lines.append(_perp_bisector(P, *idxs))
         elif len(idxs) > 2:
             lines.extend(halving_separator(PointSet([P[i] for i in idxs])))
     # On-gridline points can straddle a cell boundary without a strict
@@ -840,7 +804,7 @@ def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
         pair = find_unseparated_pair(P, lines, SeparationMode.STRICT)
         if pair is None:
             break
-        lines.append(_perp_bisector(P[pair[0]], P[pair[1]]))
+        lines.append(_perp_bisector(P, *pair))
         guard += 1
         if guard > n:
             raise SolverError("grid_separator fix-up did not converge (internal bug)")

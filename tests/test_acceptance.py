@@ -144,6 +144,7 @@ def test_criterion_03_exact_solver_fixtures():
     _report(3, "; ".join(checks))
 
 
+@pytest.mark.slow
 def test_criterion_04_reweighting_quality():
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
@@ -231,6 +232,7 @@ def test_criterion_08_birthday_bound():
     _report(8, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_09_scaling_exponent():
     t0 = time.perf_counter()
     tab = ex.scaling_study([2 ** k for k in range(10, 18)], trials=5, seed=1, threads=2)

@@ -361,6 +361,21 @@ def test_partition_bad_alpha_exits_3(tmp_path, capsys, alpha):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_partition_huge_r_exits_3(tmp_path, capsys):
+    # r has no float value, so the sample size cannot be computed.
+    pf, lf = tmp_path / "two.txt", tmp_path / "two.lines"
+    pf.write_text("0 0\n1 1\n")
+    lf.write_text("2 0 -1\n")
+    rc = main(
+        ["partition", "--points", str(pf), "--lines", str(lf), "--r", str(10 ** 399),
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "r is too large for a float" in err and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("c", ["nan", "inf"])
 def test_study_birthday_nonfinite_c_exits_3(capsys, c):
     rc = main(["study", "birthday", "--n-balls", "100", "--c", c, "--trials", "2"])
