@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geom import CanonicalLine, Point, splitmix64
-from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair, refine
-from .solvers import VerificationError, grid_separator, halving_separator
+from .sepsys import PointSet, PreconditionError, SeparationMode, refine, split_line
+from .solvers import VerificationError, grid_lines, grid_separator
+# Not called here: sepbench/test_layers.py checks that its tracer rebinds them here too.
+from .sepsys import find_unseparated_pair  # noqa: F401
+from .solvers import halving_separator  # noqa: F401
 
 GRID_BITS = 40
 GRID = 1 << GRID_BITS
@@ -215,19 +218,13 @@ def cell_statistics(
     0 unless test_lines > 0."""
     rng = np.random.default_rng(seed)
     xs, ys = _draw_grid_ints(n, rng)
-    cx = xs * N // GRID
-    cy = ys * N // GRID
-    ids, counts = np.unique(cx * N + cy, return_counts=True)
-    colliding = int((counts * (counts - 1) // 2).sum())
-    active_ids = ids[counts >= 2]
-    active = int(len(active_ids))
+    colliding, active_ids = cell_counts(xs, ys, GRID, N)
     mact = 0
-    if test_lines > 0 and active:
-        occ = {(int(i // N), int(i % N)): 2 for i in active_ids}
+    if test_lines > 0 and len(active_ids):
         mact = max_active_cells_per_line(
-            occ, N, test_lines, np.random.default_rng(trial_seed(seed, 1))
+            active_ids, N, test_lines, np.random.default_rng(trial_seed(seed, 1))
         )
-    return colliding, active, mact
+    return colliding, len(active_ids), mact
 
 
 @dataclass
@@ -313,17 +310,25 @@ def fit_exponent(ns: Sequence[int], means: Sequence[float]) -> Optional[float]:
     return float(slope)
 
 
-def _cell_stats(P: PointSet, N: int) -> Tuple[int, int, Dict[Tuple[int, int], int]]:
-    """(colliding_pairs, active_cells, occupancy) on the N x N grid."""
-    xs, ys, d = P.int_coords()
-    occ: Dict[Tuple[int, int], int] = {}
-    for x, y in zip(xs, ys):
-        cx = min(x * N // d, N - 1)
-        cy = min(y * N // d, N - 1)
-        occ[(cx, cy)] = occ.get((cx, cy), 0) + 1
-    colliding = sum(k * (k - 1) // 2 for k in occ.values() if k >= 2)
-    active = sum(1 for k in occ.values() if k >= 2)
-    return colliding, active, occ
+def grid_cells(xs: Sequence[int], ys: Sequence[int], d: int, N: int) -> np.ndarray:
+    """The cell id cx * N + cy of each point (X/d, Y/d) of the closed unit
+    square on the N x N grid, with cx = min(X * N // d, N - 1) and cy
+    likewise: a point on a grid line goes to the upper cell, except at 1."""
+    if (d * N).bit_length() < 63:  # X * N <= d * N fits in int64
+        X, Y = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+        cx, cy = np.minimum(X * N // d, N - 1), np.minimum(Y * N // d, N - 1)
+    else:
+        cx = np.array([min(x * N // d, N - 1) for x in xs], dtype=np.int64)
+        cy = np.array([min(y * N // d, N - 1) for y in ys], dtype=np.int64)
+    return cx * N + cy
+
+
+def cell_counts(xs: Sequence[int], ys: Sequence[int], d: int, N: int) -> Tuple[int, np.ndarray]:
+    """(colliding pairs, ids of the active cells) of the points (X/d, Y/d)
+    on the N x N grid (see grid_cells); a cell is active when it holds
+    two or more points."""
+    ids, counts = np.unique(grid_cells(xs, ys, d, N), return_counts=True)
+    return int((counts * (counts - 1) // 2).sum()), ids[counts >= 2]
 
 
 def _random_boundary_segment(rng) -> Tuple[float, float, float, float]:
@@ -347,19 +352,15 @@ def _random_boundary_segment(rng) -> Tuple[float, float, float, float]:
             return x0, y0, x1, y1
 
 
-def max_active_cells_per_line(
-    active: Dict[Tuple[int, int], int], N: int, n_lines: int, rng
-) -> int:
-    """Max number of active cells crossed by any of n_lines random lines
-    (through pairs of uniform boundary points). Cells crossed by a segment
-    are rasterized along the major axis; floating point, statistical use
-    only."""
-    if not active:
+def max_active_cells_per_line(active_ids: np.ndarray, N: int, n_lines: int, rng) -> int:
+    """Max number of active cells (ids cx * N + cy) crossed by any of
+    n_lines random lines (through pairs of uniform boundary points). Cells
+    crossed by a segment are rasterized along the major axis; floating
+    point, statistical use only."""
+    if not len(active_ids):
         return 0
-    grid = np.zeros((N, N), dtype=bool)
-    for (cx, cy) in active:
-        grid[cx, cy] = True
-    flat = grid.ravel()
+    flat = np.zeros(N * N, dtype=bool)
+    flat[active_ids] = True
     best = 0
     for _ in range(n_lines):
         x0, y0, x1, y1 = _random_boundary_segment(rng)
@@ -451,11 +452,9 @@ def scaling_study(
         P = random_points(n, s)
         lines = grid_separator(P, N)
         elapsed = (time.perf_counter() - t0) * 1000.0
-        colliding, active, occ = _cell_stats(P, N)
+        colliding, active_ids = cell_counts(*P.int_coords(), N)
         mrng = np.random.default_rng(trial_seed(s, 1))
-        mact = max_active_cells_per_line(
-            {c: k for c, k in occ.items() if k >= 2}, N, test_lines, mrng
-        )
+        mact = max_active_cells_per_line(active_ids, N, test_lines, mrng)
         return StudyRow(
             n=n,
             trial=t,
@@ -463,7 +462,7 @@ def scaling_study(
             separator_size=len(lines),
             grid_N=N,
             colliding_pairs=colliding,
-            active_cells=active,
+            active_cells=len(active_ids),
             max_active_per_line=mact,
             wall_time_ms=round(elapsed, 3) if timing else None,
         )
@@ -586,76 +585,30 @@ def _grid_separator_d_once(coords: np.ndarray, d: int, n: int) -> List[Hyperplan
 # t-relaxed separation
 
 
-def _median_split_line(P: PointSet, idxs: List[int]) -> Tuple[CanonicalLine, List[int], List[int]]:
-    """Line splitting the points (by median along the wider axis) into two
-    halves, avoiding all points of the group."""
-    pts = [P[i] for i in idxs]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    vertical = (max(xs) - min(xs)) >= (max(ys) - min(ys))
-    if vertical:
-        order = sorted(idxs, key=lambda i: (P[i].x, P[i].y))
-    else:
-        order = sorted(idxs, key=lambda i: (P[i].y, P[i].x))
-    cut = len(order) // 2
-    a, b = P[order[cut - 1]], P[order[cut]]
-    if vertical:
-        if a.x != b.x:
-            line = CanonicalLine.from_coeffs(1, 0, -(a.x + b.x) / 2)
-        else:
-            gaps = sorted({p.x for p in pts})
-            eps_pool = [g2 - g1 for g1, g2 in zip(gaps, gaps[1:])]
-            eps = (min(eps_pool) if eps_pool else Fraction(1)) / (
-                2 * (max(ys) - min(ys) + 1)
-            )
-            va, vb = a.x + eps * a.y, b.x + eps * b.y
-            line = CanonicalLine.from_coeffs(1, eps, -(va + vb) / 2)
-    else:
-        if a.y != b.y:
-            line = CanonicalLine.from_coeffs(0, 1, -(a.y + b.y) / 2)
-        else:
-            gaps = sorted({p.y for p in pts})
-            eps_pool = [g2 - g1 for g1, g2 in zip(gaps, gaps[1:])]
-            eps = (min(eps_pool) if eps_pool else Fraction(1)) / (
-                2 * (max(xs) - min(xs) + 1)
-            )
-            va, vb = a.y + eps * a.x, b.y + eps * b.x
-            line = CanonicalLine.from_coeffs(eps, 1, -(va + vb) / 2)
-    return line, order[:cut], order[cut:]
-
-
 def t_relaxed_separator(P: PointSet, t: int) -> List[CanonicalLine]:
     """Grid with N = ceil(n^((t+1)/(2t+1))); any cell holding more than t
-    points is split recursively by median lines until every region holds
-    at most t. For t = 1 the output fully separates P."""
+    points is split recursively by median lines (along the wider axis of
+    the group) until every region holds at most t. For t = 1 the output
+    fully separates P."""
     if t < 1:
         raise PreconditionError("t must be >= 1")
-    if any(not (0 <= p.x <= 1 and 0 <= p.y <= 1) for p in P):
-        raise PreconditionError("t_relaxed_separator requires P within the unit square")
     n = len(P)
-    if n == 0:
-        return []
     N = math.ceil(n ** ((t + 1) / (2 * t + 1)))
-    lines: List[CanonicalLine] = []
-    for i in range(1, N):
-        lines.append(CanonicalLine.from_coeffs(N, 0, -i))
-    for i in range(1, N):
-        lines.append(CanonicalLine.from_coeffs(0, N, -i))
+    lines = grid_lines(P, N)
     xs, ys, d = P.int_coords()
-    cells: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(n):
-        cx = min(xs[i] * N // d, N - 1)
-        cy = min(ys[i] * N // d, N - 1)
-        cells.setdefault((cx, cy), []).append(i)
 
     def split(group: List[int]) -> None:
         if len(group) <= t:
             return
-        line, left, right = _median_split_line(P, group)
+        span = [max(c[i] for i in group) - min(c[i] for i in group) for c in (xs, ys)]
+        line, left, right = split_line(P, group, int(span[0] < span[1]), len(group) // 2)
         lines.append(line)
         split(left)
         split(right)
 
+    cells: Dict[int, List[int]] = {}
+    for i, c in enumerate(grid_cells(xs, ys, d, N).tolist()):
+        cells.setdefault(c, []).append(i)
     for key in sorted(cells):
         split(cells[key])
     return lines
@@ -688,7 +641,7 @@ def trelax_study(
             raise VerificationError(
                 "t-relaxed output left a face with more than t points"
             )
-        colliding, active, _ = _cell_stats(P, N)
+        colliding, active_ids = cell_counts(*P.int_coords(), N)
         return StudyRow(
             n=n,
             trial=tr,
@@ -696,7 +649,7 @@ def trelax_study(
             separator_size=len(lines),
             grid_N=N,
             colliding_pairs=colliding,
-            active_cells=active,
+            active_cells=len(active_ids),
             max_active_per_line=0,
         )
 

@@ -5,13 +5,13 @@ logarithmic stabbing, and assign points to triangles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import CanonicalLine, Point, intersect_lines, orient, sign
+from .geom import CanonicalLine, Point, orient, sign
 from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair
 
 ARRANGEMENT_LINE_CAP = 512

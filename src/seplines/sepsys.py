@@ -124,7 +124,8 @@ class PointSet:
 
     @property
     def general_position(self) -> bool:
-        """True iff no three points are collinear. Computed for up to
+        """True iff no three points are collinear, that is, iff the n
+        points span C(n, 2) distinct candidate lines. Computed for up to
         512 points; larger sets are assumed in general position (with a
         warning), which holds with overwhelming probability for the random
         constructions this library targets."""
@@ -138,26 +139,8 @@ class PointSet:
                 )
                 self._general_position = True
             else:
-                self._general_position = not self._has_collinear_triple()
+                self._general_position = n < 3 or len(candidate_lines(self)) == n * (n - 1) // 2
         return self._general_position
-
-    def _has_collinear_triple(self) -> bool:
-        xs, ys, _ = self.int_coords()
-        n = len(xs)
-        for i in range(n):
-            seen = set()
-            for j in range(n):
-                if j == i:
-                    continue
-                dx, dy = xs[j] - xs[i], ys[j] - ys[i]
-                g = math.gcd(abs(dx), abs(dy))
-                dx, dy = dx // g, dy // g
-                if dx < 0 or (dx == 0 and dy < 0):
-                    dx, dy = -dx, -dy
-                if (dx, dy) in seen:
-                    return True
-                seen.add((dx, dy))
-        return False
 
     def pairs(self) -> List[PairId]:
         n = len(self.points)
@@ -369,6 +352,39 @@ def _perp_bisector(P: PointSet, i: int, j: int) -> CanonicalLine:
         2 * d * (ys[j] - ys[i]),
         xs[i] ** 2 + ys[i] ** 2 - xs[j] ** 2 - ys[j] ** 2,
     )
+
+
+def split_line(
+    P: PointSet, group: Sequence[int], axis: int, cut: int
+) -> Tuple[CanonicalLine, List[int], List[int]]:
+    """A line through no point of ``group`` with the first ``cut`` of its
+    points, in (axis coordinate, other coordinate) order, on its negative
+    side and the rest on its positive side (axis 0 is x, 1 is y); returns
+    the line and the two halves. The line is the midpoint line of the two
+    boundary points when they differ on the axis, and tilted by
+    eps = least axis gap / (2(other-axis range + 1)) otherwise; if every
+    axis coordinate is equal, it is the midpoint line on the other axis."""
+    xs, ys, d = P.int_coords()
+    u, v = (xs, ys) if axis == 0 else (ys, xs)
+    order = sorted(group, key=lambda i: (u[i], v[i]))
+    p, q = order[cut - 1], order[cut]
+    # (along, across, c): the line along*U + across*V + c*D = 0, U and V
+    # the cleared axis and other coordinates.
+    if u[p] != u[q]:
+        along, across, c = 2 * d, 0, -(u[p] + u[q])
+    else:
+        us = sorted({u[i] for i in group})
+        if len(us) == 1:
+            along, across, c = 0, 2 * d, -(v[p] + v[q])
+        else:
+            # eps = gap / e in cleared units; the line U + eps*V = its
+            # mean at p and q, times 2*D*e.
+            gap = min(b - a for a, b in zip(us, us[1:]))
+            vs = [v[i] for i in group]
+            e = 2 * (max(vs) - min(vs) + d)
+            along, across, c = 2 * d * e, 2 * d * gap, -(e * (u[p] + u[q]) + gap * (v[p] + v[q]))
+    coeffs = (along, across, c) if axis == 0 else (across, along, c)
+    return CanonicalLine.from_ints(*coeffs), order[:cut], order[cut:]
 
 
 def rotate_line(

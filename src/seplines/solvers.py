@@ -18,14 +18,14 @@ every sign pattern a line can have on the point set.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .geom import CanonicalLine, Point, int_line_through, line_through, sign
+from .geom import CanonicalLine, int_line_through, sign
 from .sepsys import (
     CandidateLines,
     GeneralPositionError,
@@ -43,6 +43,7 @@ from .sepsys import (
     properize,
     rotate_line,
     settle,
+    split_line,
 )
 
 EXACT_SIZE_CAP = 14
@@ -604,52 +605,31 @@ def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
 # halving construction
 
 
-def _lex_split_line(P: PointSet, order: List[int], cut: int) -> CanonicalLine:
-    """Line with the first `cut` points of the lexicographic x-order on its
-    negative side and the rest on its positive side, containing no point.
-    Vertical when the boundary x-coordinates differ; tilted by a small
-    epsilon otherwise."""
-    a, b = order[cut - 1], order[cut]
-    pa, pb = P[a], P[b]
-    if pa.x != pb.x:
-        mid = (pa.x + pb.x) / 2
-        return CanonicalLine.from_coeffs(1, 0, -mid)
-    xs = sorted({p.x for p in P})
-    gaps = [xs[i + 1] - xs[i] for i in range(len(xs) - 1)]
-    if not gaps:  # all x equal: two points (n >= 3 would be collinear)
-        mid = (pa.y + pb.y) / 2
-        return CanonicalLine.from_coeffs(0, 1, -mid)
-    ys = [p.y for p in P]
-    eps = min(gaps) / (2 * (max(ys) - min(ys) + 1))
-    va = pa.x + eps * pa.y
-    vb = pb.x + eps * pb.y
-    return CanonicalLine.from_coeffs(1, eps, -(va + vb) / 2)
+def _split_two_pairs(P: PointSet, p1: int, p2: int, q1: int, q2: int) -> CanonicalLine:
+    """One line strictly crossing both segments p1p2 and q1q2 of P: the
+    line through the midpoint of one pair and a point 1/k of the way along
+    the other, for the first k = 2, ..., 11 that works, the midpoint taken
+    on p1p2 first and on q1q2 if that fails. The first try fails only when
+    the midpoint of p1p2 lies on the line q1q2; both fail only when the two
+    midpoints coincide (no three of the points collinear), which halving's
+    pairs, on opposite sides of its first line, never do."""
+    xs, ys, d = P.int_coords()
 
+    def crosses(a: int, b: int, c: int, i: int, j: int) -> bool:
+        return sign(a * xs[i] + b * ys[i] + c * d) * sign(a * xs[j] + b * ys[j] + c * d) == -1
 
-def _split_two_pairs(
-    p1: Point, p2: Point, q1: Point, q2: Point
-) -> CanonicalLine:
-    """One line strictly crossing both segments p1p2 and q1q2 (a line
-    through an interior point of each; exists since no four of the points
-    are collinear)."""
-    m1 = Point((p1.x + p2.x) / 2, (p1.y + p2.y) / 2)
-    for denom in range(2, 12):
-        t = Fraction(1, denom)
-        m2 = Point(q1.x + t * (q2.x - q1.x), q1.y + t * (q2.y - q1.y))
-        if m1 == m2:
-            continue
-        line = line_through(m1, m2)
-        if (
-            sign(line.eval_at(p1)) * sign(line.eval_at(p2)) == -1
-            and sign(line.eval_at(q1)) * sign(line.eval_at(q2)) == -1
-        ):
-            return line
+    for (i1, i2), (j1, j2) in (((p1, p2), (q1, q2)), ((q1, q2), (p1, p2))):
+        for k in range(2, 12):
+            # Both points over the common denominator 2 * k * D.
+            mx, my = k * (xs[i1] + xs[i2]), k * (ys[i1] + ys[i2])
+            nx = 2 * ((k - 1) * xs[j1] + xs[j2])
+            ny = 2 * ((k - 1) * ys[j1] + ys[j2])
+            if (mx, my) == (nx, ny):
+                continue
+            a, b, c = int_line_through(mx, my, nx, ny, 2 * k * d)
+            if crosses(a, b, c, p1, p2) and crosses(a, b, c, q1, q2):
+                return CanonicalLine(a, b, c)
     raise GeneralPositionError("could not split two pairs (degenerate input)")
-
-
-def _shift_toward(base: CanonicalLine, target: Fraction) -> CanonicalLine:
-    """Parallel copy of base halfway toward a point with value `target`."""
-    return CanonicalLine.from_coeffs(base.a, base.b, base.c - target / 2)
 
 
 def halving_separator(P: PointSet) -> List[CanonicalLine]:
@@ -666,16 +646,19 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
     if not P.general_position:
         raise GeneralPositionError("halving_separator requires no 3 collinear points")
-    order = sorted(range(n), key=lambda i: (P[i].x, P[i].y))
-    cut = (n + 1) // 2
-    left = set(order[:cut])
-    lines = [_lex_split_line(P, order, cut)] if n > 1 else []
-    active_L = sorted(order[:cut])
-    active_R = sorted(order[cut:])
+    first, active_L, active_R = split_line(P, range(n), 0, (n + 1) // 2)
+    lines = [first]
+    left = set(active_L)
+    active_L.sort()
+    active_R.sort()
     xs, ys, d = P.int_coords()
+
+    def side_of(a: int, b: int, c: int, w: int) -> int:
+        return sign(a * xs[w] + b * ys[w] + c * d)
 
     def cut_two_and_two() -> Tuple[List[int], List[int], CanonicalLine]:
         active = active_L + active_R
+        sub = PointSet([P[w] for w in active])
         for ii in range(len(active)):
             for jj in range(ii + 1, len(active)):
                 u, v = active[ii], active[jj]
@@ -683,7 +666,7 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
                 a, b, c = int_line_through(xs[u], ys[u], xs[v], ys[v], d)
                 lpos = lneg = rpos = rneg = 0
                 for w in active:
-                    s = sign(a * xs[w] + b * ys[w] + c * d)
+                    s = side_of(a, b, c, w)
                     if w in left:
                         lpos += s > 0
                         lneg += s < 0
@@ -697,13 +680,11 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
                     rn = rneg + (u not in left and su < 0) + (v not in left and sv < 0)
                     if 2 not in (lp, ln) or 2 not in (rp, rn):
                         continue
-                    sub = PointSet([P[w] for w in active])
-                    pos = {w: k for k, w in enumerate(active)}
-                    line = realize_variant(sub, pos[u], pos[v], su, sv)
+                    line = realize_variant(sub, ii, jj, su, sv)
                     # Canonicalization may flip orientation relative to the
                     # quick count above; derive the cut sets from the
                     # realized sides directly.
-                    sides = {w: sign(line.eval_at(P[w])) for w in active}
+                    sides = {w: side_of(*line.coeffs(), w) for w in active}
                     for lside in (1, -1):
                         cutL = [w for w in active_L if sides[w] == lside]
                         if len(cutL) != 2:
@@ -717,24 +698,20 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
     while len(active_R) >= 3:
         cutL, cutR, line = cut_two_and_two()
         lines.append(line)
-        lines.append(
-            _split_two_pairs(P[cutL[0]], P[cutL[1]], P[cutR[0]], P[cutR[1]])
-        )
+        lines.append(_split_two_pairs(P, *cutL, *cutR))
         active_L = [w for w in active_L if w not in cutL]
         active_R = [w for w in active_R if w not in cutR]
 
     nl, nr = len(active_L), len(active_R)
     if (nl, nr) == (3, 2):
-        a, b, c = active_L
-        base = line_through(P[a], P[b])
-        lines.append(_shift_toward(base, base.eval_at(P[c])))
-        lines.append(_split_two_pairs(P[a], P[b], P[active_R[0]], P[active_R[1]]))
+        u, v, w = active_L
+        # The line through u and v moved halfway toward w.
+        a, b, c = int_line_through(xs[u], ys[u], xs[v], ys[v], d)
+        shift = a * xs[w] + b * ys[w] + c * d
+        lines.append(CanonicalLine.from_ints(2 * d * a, 2 * d * b, 2 * d * c - shift))
+        lines.append(_split_two_pairs(P, u, v, *active_R))
     elif (nl, nr) == (2, 2):
-        lines.append(
-            _split_two_pairs(
-                P[active_L[0]], P[active_L[1]], P[active_R[0]], P[active_R[1]]
-            )
-        )
+        lines.append(_split_two_pairs(P, *active_L, *active_R))
     elif (nl, nr) == (2, 1) or (nl, nr) == (2, 0):
         lines.append(_perp_bisector(P, active_L[0], active_L[1]))
 
@@ -751,24 +728,26 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
 # grid separator
 
 
+def grid_lines(P: PointSet, N: int) -> List[CanonicalLine]:
+    """The 2(N-1) lines x = i/N and y = i/N of the N x N grid on the unit
+    square, after checking that P lies in the closed unit square."""
+    xs, ys, d = P.int_coords()
+    if len(P) and (min(min(xs), min(ys)) < 0 or max(max(xs), max(ys)) > d):
+        raise PreconditionError("grid requires points in the unit square")
+    lines = [CanonicalLine.from_ints(N, 0, -i) for i in range(1, N)]
+    return lines + [CanonicalLine.from_ints(0, N, -i) for i in range(1, N)]
+
+
 def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
     """The 2(N-1) grid lines x=i/N, y=i/N plus per-cell separators: the
     perpendicular bisector for cells with 2 points, recursive halving for
     more. Points exactly on a grid line are assigned to the lower cell
     (flagged via a warning); any strictness lost that way is repaired by
     explicit bisector fix-ups."""
-    import warnings as _warnings
-
     n = len(P)
     if N < 1:
         raise PreconditionError(f"grid size N must be positive, got {N}")
-    if any(not (0 <= p.x <= 1 and 0 <= p.y <= 1) for p in P):
-        raise PreconditionError("grid requires points in the unit square")
-    lines: List[CanonicalLine] = []
-    for i in range(1, N):
-        lines.append(CanonicalLine.from_coeffs(N, 0, -i))
-    for i in range(1, N):
-        lines.append(CanonicalLine.from_coeffs(0, N, -i))
+    lines = grid_lines(P, N)
     xs, ys, d = P.int_coords()
     cells: Dict[Tuple[int, int], List[int]] = {}
     flagged = 0
@@ -787,7 +766,7 @@ def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
         flagged += fx or fy
         cells.setdefault((cx, cy), []).append(i)
     if flagged:
-        _warnings.warn(
+        warnings.warn(
             f"{flagged} point(s) exactly on grid lines assigned to the lower cell",
             stacklevel=2,
         )

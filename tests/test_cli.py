@@ -399,3 +399,32 @@ def test_study_zero_trials_exits_3(capsys, what):
     assert rc == EXIT_PRECONDITION
     captured = capsys.readouterr()
     assert captured.out == "" and "trials must be at least 1" in captured.err
+
+
+# Each set has no three collinear points, but the midpoint of one pair the
+# halving construction must split lies on the line through the other pair.
+@pytest.mark.parametrize(
+    "algo,points,n_lines",
+    [
+        ("halving", "0 0\n1 2\n2 0\n7/2 -1\n", 2),
+        ("grid", "0 1/12\n1/12 1/4\n1/6 1/12\n7/24 0\n", None),
+    ],
+)
+def test_split_two_pairs_midpoint_on_other_pair_line(tmp_path, capsys, algo, points, n_lines):
+    pf = tmp_path / "p.txt"
+    pf.write_text(points)
+    assert main(["solve", "--input", str(pf), "--algo", algo]) == EXIT_OK
+    out = capsys.readouterr().out
+    if n_lines is not None:
+        assert len(out.splitlines()) == n_lines
+    lf = tmp_path / "p.lines"
+    lf.write_text(out)
+    assert main(["verify", "--points", str(pf), "--lines", str(lf), "--mode", "strict"]) == EXIT_OK
+    assert capsys.readouterr().out == "separating\n"
+
+
+def test_grid_outside_unit_square_exits_3(tmp_path, capsys):
+    pf = tmp_path / "p.txt"
+    pf.write_text(f"0 0\n1/2 1/3\n{2 ** 80 + 1}/{2 ** 80} 1/2\n")
+    assert main(["solve", "--input", str(pf), "--algo", "grid"]) == EXIT_PRECONDITION
+    assert "unit square" in capsys.readouterr().err

@@ -108,9 +108,9 @@ def test_cell_statistics_matches_exact_pipeline():
     for n, seed in [(100, 1), (1000, 7)]:
         N = math.ceil(n ** (2 / 3))
         P = ex.random_points(n, seed)
-        c1, a1, _ = ex._cell_stats(P, N)
+        c1, active = ex.cell_counts(*P.int_coords(), N)
         c2, a2, _ = ex.cell_statistics(n, N, seed)
-        assert (c1, a1) == (c2, a2)
+        assert (c1, len(active)) == (c2, a2)
 
 
 # ---------------------------------------------------------------------------

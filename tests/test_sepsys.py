@@ -38,6 +38,8 @@ def test_general_position_detection():
     assert SQUARE.general_position  # no 3 collinear
     P = PointSet([pt(0, 0), pt(1, 1), pt(2, 2), pt(0, 1)])
     assert not P.general_position
+    assert not PointSet([pt(0, 0), pt(1, 1), pt(2, 2)]).general_position
+    assert PointSet([pt(0, 0), pt(1, 1)]).general_position
     assert rand_general_position_points(8, seed=5).general_position
 
 
