@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -47,6 +48,18 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+# An ASCII integer or p/q token; any other token goes through Fraction(str).
+_INT_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _coord(tok: str) -> Fraction:
+    m = _INT_RATIO.fullmatch(tok)
+    if m is None:
+        return Fraction(tok)
+    p, q = m.groups()
+    return Fraction(int(p), int(q) if q else 1)
+
+
 def parse_point_file(path: str) -> PointSet:
     pts: List[Point] = []
     try:
@@ -61,7 +74,7 @@ def parse_point_file(path: str) -> PointSet:
                         f"{path}:{lineno}: expected 'x y', got {len(toks)} fields"
                     )
                 try:
-                    x, y = Fraction(toks[0]), Fraction(toks[1])
+                    x, y = _coord(toks[0]), _coord(toks[1])
                 except (ValueError, ZeroDivisionError) as e:
                     raise ParseFileError(f"{path}:{lineno}: bad coordinate: {e}")
                 pts.append(Point(x, y))

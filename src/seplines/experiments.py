@@ -355,45 +355,46 @@ def _random_boundary_segment(rng) -> Tuple[float, float, float, float]:
 def max_active_cells_per_line(active_ids: np.ndarray, N: int, n_lines: int, rng) -> int:
     """Max number of active cells (ids cx * N + cy) crossed by any of
     n_lines random lines (through pairs of uniform boundary points). Cells
-    crossed by a segment are rasterized along the major axis; floating
-    point, statistical use only."""
+    crossed by a segment are rasterized along the major axis, all segments
+    at once; floating point, statistical use only."""
     if not len(active_ids):
         return 0
     flat = np.zeros(N * N, dtype=bool)
     flat[active_ids] = True
+    seg = np.array([_random_boundary_segment(rng) for _ in range(n_lines)]).reshape(-1, 4)
     best = 0
-    for _ in range(n_lines):
-        x0, y0, x1, y1 = _random_boundary_segment(rng)
-        if abs(x1 - x0) >= abs(y1 - y0):
-            (a0, b0), (a1, b1) = (x0, y0), (x1, y1)
-            transpose = False
-        else:
-            (a0, b0), (a1, b1) = (y0, x0), (y1, x1)
-            transpose = True
-        if a0 > a1:
-            a0, b0, a1, b1 = a1, b1, a0, b0
-        cols = np.arange(int(a0 * N), min(int(a1 * N), N - 1) + 1)
-        if len(cols) == 0:
-            continue
+    # Blocks of about 2^16 columns keep the per-column arrays small.
+    step = max(1, 2 ** 16 // N)
+    for blk in np.split(seg, np.arange(step, len(seg), step)):
+        x0, y0, x1, y1 = blk.T
+        # (a, b): (major, minor) axis coordinates, ordered by a along each segment.
+        transpose = np.abs(x1 - x0) < np.abs(y1 - y0)
+        a0, b0, a1, b1 = np.where(transpose, (y0, x0, y1, x1), (x0, y0, x1, y1))
+        flip = a0 > a1
+        a0, b0, a1, b1 = np.where(flip, (a1, b1, a0, b0), (a0, b0, a1, b1))
+        # a1 > a0: the endpoints differ, most along the major axis.
+        c0 = (a0 * N).astype(np.int64)
+        ncols = np.minimum((a1 * N).astype(np.int64), N - 1) + 1 - c0
+        line = np.repeat(np.arange(len(blk)), ncols)
+        cols = c0[line] + np.arange(len(line)) - np.repeat(np.cumsum(ncols) - ncols, ncols)
+        a0, b0, a1, b1, transpose = a0[line], b0[line], a1[line], b1[line], transpose[line]
         # Row range per column from the segment's heights at the column edges.
         lo_edge = np.maximum(cols / N, a0)
         hi_edge = np.minimum((cols + 1) / N, a1)
-        slope = (b1 - b0) / (a1 - a0) if a1 > a0 else 0.0
+        slope = (b1 - b0) / (a1 - a0)
         y_lo = b0 + slope * (lo_edge - a0)
         y_hi = b0 + slope * (hi_edge - a0)
         r0 = np.clip(np.floor(np.minimum(y_lo, y_hi) * N).astype(np.int64), 0, N - 1)
         r1 = np.clip(np.floor(np.maximum(y_lo, y_hi) * N).astype(np.int64), 0, N - 1)
-        # Slope magnitude <= 1, so each column spans at most a few rows.
-        ids = []
-        span = int((r1 - r0).max()) if len(cols) else 0
-        for k in range(span + 1):
-            rk = np.minimum(r0 + k, r1)
-            if transpose:
-                ids.append(rk * N + cols)
-            else:
-                ids.append(cols * N + rk)
-        cells = np.unique(np.concatenate(ids))
-        best = max(best, int(flat[cells].sum()))
+        # Slope magnitude <= 1, so each column spans at most a few rows; the
+        # cells of one segment are distinct (column, row) pairs.
+        counts = np.zeros(len(blk))
+        for k in range(int((r1 - r0).max(initial=0)) + 1):
+            m = r0 + k <= r1
+            rk, ck = r0[m] + k, cols[m]
+            ids = np.where(transpose[m], rk * N + ck, ck * N + rk)
+            counts += np.bincount(line[m], weights=flat[ids], minlength=len(blk))
+        best = max(best, int(counts.max(initial=0)))
     return best
 
 

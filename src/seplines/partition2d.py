@@ -11,8 +11,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import CanonicalLine, Point, orient, sign
-from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair
+from . import _kernels
+from .geom import CanonicalLine, Point, line_through, orient, sign
+from .sepsys import (
+    PointSet, PreconditionError, SeparationMode, find_unseparated_pair, float_array, line_signs,
+)
 
 ARRANGEMENT_LINE_CAP = 512
 MAX_SAMPLE_ATTEMPTS = 16
@@ -91,6 +94,7 @@ class ClippedArrangement:
     box: Box
     lines: List[CanonicalLine]
     faces: List[Face]
+    signs: List[Tuple[int, ...]]  # per face, its side (-1 or +1) of each line
 
     def vertex_edge_counts(self) -> Tuple[int, int]:
         verts = set()
@@ -112,7 +116,8 @@ class ClippedArrangement:
 def build_arrangement(lines: Sequence[CanonicalLine], box: Box) -> ClippedArrangement:
     """Incremental exact construction: successively split every face
     crossed by each line. Faces are ccw convex vertex cycles that tile the
-    box; the Euler relation V - E + F = 2 holds on the result."""
+    box; the Euler relation V - E + F = 2 holds on the result. Each face
+    records its sign vector: the side of each line its interior lies on."""
     if len(lines) > ARRANGEMENT_LINE_CAP:
         raise ArrangementCapError(
             f"arrangement capped at {ARRANGEMENT_LINE_CAP} lines, got {len(lines)}"
@@ -121,6 +126,7 @@ def build_arrangement(lines: Sequence[CanonicalLine], box: Box) -> ClippedArrang
     if not (x0 < x1 and y0 < y1):
         raise ValueError("box must have positive extent")
     faces: List[Face] = [_box_face(box)]
+    signs: List[Tuple[int, ...]] = [()]
     kept: List[CanonicalLine] = []
     seen = set()
     for line in lines:
@@ -129,14 +135,14 @@ def build_arrangement(lines: Sequence[CanonicalLine], box: Box) -> ClippedArrang
         seen.add(line.coeffs())
         kept.append(line)
         nxt: List[Face] = []
-        for f in faces:
-            neg, pos = _split_face(f, line)
-            if neg is not None:
-                nxt.append(neg)
-            if pos is not None:
-                nxt.append(pos)
-        faces = nxt
-    return ClippedArrangement(box=box, lines=kept, faces=faces)
+        nxt_signs: List[Tuple[int, ...]] = []
+        for f, sv in zip(faces, signs):
+            for piece, s in zip(_split_face(f, line), (-1, 1)):
+                if piece is not None:
+                    nxt.append(piece)
+                    nxt_signs.append(sv + (s,))
+        faces, signs = nxt, nxt_signs
+    return ClippedArrangement(box=box, lines=kept, faces=faces, signs=signs)
 
 
 Triangle = Tuple[Point, Point, Point]
@@ -180,16 +186,6 @@ def _face_area2(face: Face) -> Fraction:
     return s
 
 
-def _point_in_triangle(p: Point, tri: Triangle) -> Tuple[bool, bool]:
-    """(inside-or-on-boundary, on-boundary)."""
-    a, b, c = tri
-    o1 = orient(a, b, p)
-    o2 = orient(b, c, p)
-    o3 = orient(c, a, p)
-    inside = o1 >= 0 and o2 >= 0 and o3 >= 0
-    return inside, inside and (o1 == 0 or o2 == 0 or o3 == 0)
-
-
 @dataclass
 class Partition:
     triangles: List[Triangle]
@@ -206,42 +202,56 @@ class Partition:
 
 
 def bounding_box(P: PointSet, margin: Fraction = Fraction(1, 10)) -> Box:
-    xs = [p.x for p in P]
-    ys = [p.y for p in P]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    xs, ys, d = P.int_coords()
+    x0, x1, y0, y1 = (Fraction(v, d) for v in (min(xs), max(xs), min(ys), max(ys)))
     padx = (x1 - x0) * margin or Fraction(1)
     pady = (y1 - y0) * margin or Fraction(1)
     return (x0 - padx, y0 - pady, x1 + padx, y1 + pady)
 
 
+def _index_groups(labels: np.ndarray, k: int) -> List[np.ndarray]:
+    """For each label 0..k-1, the ascending indices that carry it."""
+    cuts = np.cumsum(np.bincount(labels, minlength=k))[:-1]
+    return np.split(np.argsort(labels, kind="stable"), cuts)
+
+
 def _assign_points(
-    P: PointSet, tris: List[Triangle]
+    P: PointSet, arr: ClippedArrangement, face_tris: List[List[Triangle]]
 ) -> Tuple[List[List[int]], int]:
-    """First-containing triangle in construction order; boundary ties
-    counted. Floating bbox prefilter, exact confirmation."""
-    bbs = []
-    for tri in tris:
-        xs = [float(v.x) for v in tri]
-        ys = [float(v.y) for v in tri]
-        bbs.append((min(xs) - 1e-9, max(xs) + 1e-9, min(ys) - 1e-9, max(ys) + 1e-9))
-    lists: List[List[int]] = [[] for _ in tris]
+    """First containing closed triangle in construction order (faces in
+    order, each face's triangles contiguous); boundary ties counted.
+    Exact. Points are grouped by their sign vectors over the
+    arrangement's lines. A point off every line lies only in its own
+    face's closed triangles. A point on a sampled line goes to the first
+    face whose sign vector agrees with its nonzero entries: that face's
+    closure holds it and no earlier face's does. Only that one face's
+    triangles are tested."""
+    starts = np.cumsum([0] + [len(ft) for ft in face_tris])
+    F = np.array(arr.signs, dtype=np.int8)
+    face_of = {row.tobytes(): f for f, row in enumerate(F)}
+    rows, inv = np.unique(line_signs(P, arr.lines), axis=0, return_inverse=True)
+    tri_of = np.zeros(len(P), dtype=np.int64)
     ties = 0
-    for i, p in enumerate(P):
-        xf, yf = float(p.x), float(p.y)
-        placed = False
-        for j, (lo, hi, blo, bhi) in enumerate(bbs):
-            if not (lo <= xf <= hi and blo <= yf <= bhi):
-                continue
-            inside, on_edge = _point_in_triangle(p, tris[j])
-            if inside:
-                lists[j].append(i)
-                if on_edge:
-                    ties += 1
-                placed = True
+    for row, idx in zip(rows, _index_groups(inv.reshape(-1), len(rows))):
+        f = face_of.get(row.tobytes())
+        if f is None:  # on a sampled line
+            f = int(np.argmax(((F == row) | (row == 0)).all(axis=1)))
+        for t, (a, b, c) in enumerate(face_tris[f], start=starts[f]):
+            # In the closed triangle: on each edge line, on the opposite
+            # vertex's side or on the line.
+            edges = [line_through(a, b), line_through(b, c), line_through(c, a)]
+            want = np.array([sign(e.eval_at(v)) for e, v in zip(edges, (c, a, b))], dtype=np.int8)
+            s = line_signs(P, edges, idx)
+            on = s == 0
+            inside = ((s == want) | on).all(axis=1)
+            tri_of[idx[inside]] = t
+            ties += int(on[inside].any(axis=1).sum())
+            idx = idx[~inside]
+            if not len(idx):
                 break
-        if not placed:
+        else:
             raise RuntimeError("point not covered by any triangle")
-    return lists, ties
+    return [g.tolist() for g in _index_groups(tri_of, starts[-1])], ties
 
 
 def build_partition(
@@ -281,10 +291,9 @@ def build_partition(
             idx = rng.choice(len(L_sep), size=want, replace=False)
             chosen = [L_sep[i] for i in sorted(idx.tolist())]
         arr = build_arrangement(chosen, box)
-        tris: List[Triangle] = []
-        for f in arr.faces:
-            tris.extend(triangulate_face(f))
-        lists, ties = _assign_points(P, tris)
+        face_tris = [triangulate_face(f) for f in arr.faces]
+        tris = [t for ft in face_tris for t in ft]
+        lists, ties = _assign_points(P, arr, face_tris)
         part = Partition(
             triangles=tris,
             point_lists=lists,
@@ -310,18 +319,23 @@ def stabbing_stats(
 ) -> Tuple[int, float]:
     """(max, mean) number of triangles intersected per test line; a closed
     triangle is intersected unless all its vertices are strictly on one
-    side (exact signs)."""
-    counts = []
-    for line in test_lines:
-        c = 0
-        for tri in partition.triangles:
-            ss = [sign(line.eval_at(v)) for v in tri]
-            if not (all(s > 0 for s in ss) or all(s < 0 for s in ss)):
-                c += 1
-        counts.append(c)
-    if not counts:
+    side (exact signs: the float kernel on the distinct vertices, with
+    every uncertain entry settled exactly)."""
+    if not test_lines:
         return 0, 0.0
-    return max(counts), float(np.mean(counts))
+    verts = list(dict.fromkeys(v for tri in partition.triangles for v in tri))
+    abc = float_array([v for l in test_lines for v in l.coeffs()])
+    signs, unc = _kernels.eval_signs(
+        abc[0::3], abc[1::3], abc[2::3],
+        float_array([v.x for v in verts]), float_array([v.y for v in verts]),
+    )
+    for i, j in zip(*np.nonzero(unc)):
+        signs[i, j] = sign(test_lines[j].eval_at(verts[i]))
+    pos = {v: k for k, v in enumerate(verts)}
+    s = signs[np.array([pos[v] for tri in partition.triangles for v in tri], dtype=np.int64)]
+    s = s.reshape(len(partition.triangles), 3, len(test_lines))
+    counts = len(partition.triangles) - ((s > 0).all(axis=1) | (s < 0).all(axis=1)).sum(axis=0)
+    return int(counts.max()), float(np.mean(counts))
 
 
 def random_box_lines(box: Box, k: int, seed: int) -> List[CanonicalLine]:

@@ -215,11 +215,9 @@ def line_signs(
     """Exact signs of the lines at the points ``idx`` (default: all), as an
     int8 array of shape (points, lines): the float kernel, with every
     uncertain entry settled in integers."""
-    if idx is None:
-        xf, yf = P.float_coords()
-    else:
-        pts = [P[i] for i in idx.tolist()]
-        xf, yf = float_array([p.x for p in pts]), float_array([p.y for p in pts])
+    xf, yf = P.float_coords()
+    if idx is not None:
+        xf, yf = xf[idx], yf[idx]
     abc = float_array([v for l in lines for v in (l.a, l.b, l.c)])
     signs, unc = _kernels.eval_signs(abc[0::3], abc[1::3], abc[2::3], xf, yf)
     return settle(P, lines, signs, unc, idx)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from seplines.cli import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
     ParseFileError,
+    _coord,
     main,
     parse_line_file,
     parse_point_file,
@@ -45,6 +47,39 @@ def test_point_file_error_carries_line_number(tmp_path):
     f.write_text("0 0 0\n")
     with pytest.raises(ParseFileError, match=":1:"):
         parse_point_file(str(f))
+
+
+TOKENS = [
+    "3/4", "-3/4", "+3/4", "7", "+7", "-0", "007/010", "12345678901234567890123/3",
+    ".5", "5.", "1e-3", "-2.5E+2", "1_000", "1_0/3", "1__0", "\u0663", "\u0663/\u0664",
+    "1/\u0664", "\U0001d7d9", "\u00bd", "3/-4", "3/+4", "0x10", "nan", "inf", "1/0",
+    "-5/0", "0/0", "", "/4", "3/", "1/2/3", "--1", pytest.param("9" * 5000, id="5000-digits"),
+]
+
+
+def _value_or_error(fn, tok):
+    try:
+        return fn(tok)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("tok", TOKENS)
+def test_coordinate_token_matches_fraction(tok):
+    want = _value_or_error(Fraction, tok)
+    got = _value_or_error(_coord, tok)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("tok", ["1/0", "3/-4", "3/+4", "0x10", "nan"])
+def test_bad_coordinate_exits_2(tmp_path, capsys, tok):
+    f = tmp_path / "p.txt"
+    f.write_text(f"0 0\n1/2 {tok}\n")
+    with pytest.raises(ParseFileError, match=":2: bad coordinate"):
+        parse_point_file(str(f))
+    lf = tmp_path / "l.txt"
+    lf.write_text("1 0 0\n")
+    assert main(["verify", "--points", str(f), "--lines", str(lf)]) == EXIT_PARSE
 
 
 def test_line_file_parsing(tmp_path):

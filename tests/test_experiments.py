@@ -113,6 +113,81 @@ def test_cell_statistics_matches_exact_pipeline():
         assert (c1, len(active)) == (c2, a2)
 
 
+def _ref_max_active_cells_per_line(active_ids, N, n_lines, rng):
+    """One segment at a time: an arange, clips and an np.unique per line."""
+    if not len(active_ids):
+        return 0
+    flat = np.zeros(N * N, dtype=bool)
+    flat[active_ids] = True
+    best = 0
+    for _ in range(n_lines):
+        x0, y0, x1, y1 = ex._random_boundary_segment(rng)
+        if abs(x1 - x0) >= abs(y1 - y0):
+            (a0, b0), (a1, b1) = (x0, y0), (x1, y1)
+            transpose = False
+        else:
+            (a0, b0), (a1, b1) = (y0, x0), (y1, x1)
+            transpose = True
+        if a0 > a1:
+            a0, b0, a1, b1 = a1, b1, a0, b0
+        cols = np.arange(int(a0 * N), min(int(a1 * N), N - 1) + 1)
+        if len(cols) == 0:
+            continue
+        lo_edge = np.maximum(cols / N, a0)
+        hi_edge = np.minimum((cols + 1) / N, a1)
+        slope = (b1 - b0) / (a1 - a0) if a1 > a0 else 0.0
+        y_lo = b0 + slope * (lo_edge - a0)
+        y_hi = b0 + slope * (hi_edge - a0)
+        r0 = np.clip(np.floor(np.minimum(y_lo, y_hi) * N).astype(np.int64), 0, N - 1)
+        r1 = np.clip(np.floor(np.maximum(y_lo, y_hi) * N).astype(np.int64), 0, N - 1)
+        ids = []
+        for k in range(int((r1 - r0).max()) + 1):
+            rk = np.minimum(r0 + k, r1)
+            ids.append(rk * N + cols if transpose else cols * N + rk)
+        best = max(best, int(flat[np.unique(np.concatenate(ids))].sum()))
+    return best
+
+
+class _Draws:
+    """A stand-in generator whose random() returns the given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 10, 57, 200, 700])
+def test_max_active_cells_per_line_matches_per_line_loop(N):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        active = np.unique(rng.integers(0, N * N, max(1, N * N // (seed + 2))))
+        r1, r2 = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+        got = ex.max_active_cells_per_line(active, N, 300, r1)
+        assert got == _ref_max_active_cells_per_line(active, N, 300, r2)
+        assert r1.random() == r2.random()  # the same number of draws
+    assert ex.max_active_cells_per_line(np.array([], dtype=np.int64), N, 10, r1) == 0
+
+
+@pytest.mark.parametrize("N", [1, 4, 7, 64])
+def test_max_active_cells_per_line_steep_and_flat_segments(N):
+    eps = 1e-12
+    # Pairs of boundary parameters (u / 4 walks the square's boundary).
+    pairs = [
+        # near vertical
+        (0.1, (3 - 0.4) / 4), (0.1, (3 - 0.4 - eps) / 4), (0.1, (3 - 0.4 + eps) / 4),
+        ((4 - 0.3) / 4, (1 + 0.3) / 4), ((4 - 0.3) / 4, (1 + 0.3 + eps) / 4),  # near horizontal
+        (0.0, 0.5), (0.25, 0.75), (0.125, 0.625),  # diagonals, cell boundaries
+        (0.05, 0.2), (0.3, 0.3), (0.3, 0.31), (0.0, 0.999999),  # one side, redraw, corner
+    ]
+    draws = [u for pair in pairs for u in pair]
+    active = np.arange(0, N * N, 2)
+    for k in range(1, len(pairs) - 1):
+        got = ex.max_active_cells_per_line(active, N, k, _Draws(draws))
+        assert got == _ref_max_active_cells_per_line(active, N, k, _Draws(draws))
+
+
 # ---------------------------------------------------------------------------
 # scaling study
 

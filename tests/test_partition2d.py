@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seplines.geom import CanonicalLine, Point, pt
+from seplines.geom import CanonicalLine, Point, line_through, orient, pt, sign
 from seplines.partition2d import (
     ArrangementCapError,
     NotSeparatingError,
     Partition,
+    _assign_points,
     _face_area2,
     _tri_area2,
     bounding_box,
@@ -189,3 +190,152 @@ def test_bounding_box_margin():
     x0, y0, x1, y1 = bounding_box(P)
     assert x0 == Fraction(-1, 10) and x1 == Fraction(11, 10)
     assert y0 == Fraction(-1, 5) and y1 == Fraction(11, 5)
+
+
+# ---------------------------------------------------------------------------
+# point location and stabbing against the per-point Fraction loops
+
+
+def _ref_point_in_triangle(p, tri):
+    """(inside-or-on-boundary, on-boundary)."""
+    a, b, c = tri
+    o1 = orient(a, b, p)
+    o2 = orient(b, c, p)
+    o3 = orient(c, a, p)
+    inside = o1 >= 0 and o2 >= 0 and o3 >= 0
+    return inside, inside and (o1 == 0 or o2 == 0 or o3 == 0)
+
+
+def _ref_assign_points(P, tris):
+    """First containing triangle in construction order, one exact
+    orientation test per (point, triangle)."""
+    lists = [[] for _ in tris]
+    ties = 0
+    for i, p in enumerate(P):
+        for j, tri in enumerate(tris):
+            inside, on_edge = _ref_point_in_triangle(p, tri)
+            if inside:
+                lists[j].append(i)
+                ties += on_edge
+                break
+        else:
+            raise RuntimeError("point not covered by any triangle")
+    return lists, ties
+
+
+def _ref_stabbing_stats(partition, test_lines):
+    counts = []
+    for line in test_lines:
+        c = 0
+        for tri in partition.triangles:
+            ss = [sign(line.eval_at(v)) for v in tri]
+            if not (all(s > 0 for s in ss) or all(s < 0 for s in ss)):
+                c += 1
+        counts.append(c)
+    if not counts:
+        return 0, 0.0
+    return max(counts), float(np.mean(counts))
+
+
+def _assign_both(P, lines, box=None):
+    arr = build_arrangement(lines, box or bounding_box(P))
+    face_tris = [triangulate_face(f) for f in arr.faces]
+    tris = [t for ft in face_tris for t in ft]
+    got = _assign_points(P, arr, face_tris)
+    assert got == _ref_assign_points(P, tris)
+    return arr, tris, got
+
+
+def _scaled(P, lines, s):
+    """P and the lines under (x, y) -> (s x, s y)."""
+    Q = PointSet([Point(p.x * s, p.y * s) for p in P])
+    return Q, [CanonicalLine.from_coeffs(l.a, l.b, l.c * s) for l in lines]
+
+
+def test_arrangement_face_sign_vectors():
+    rng = np.random.default_rng(4)
+    lines = _lines_crossing_box(rng, 9)
+    arr = build_arrangement(lines + [CanonicalLine.from_coeffs(1, 0, -7)], UNIT_BOX)
+    assert len(set(arr.signs)) == len(arr.faces)
+    for f, sv in zip(arr.faces, arr.signs):
+        inner = Point(sum(v.x for v in f) / len(f), sum(v.y for v in f) / len(f))
+        assert sv == tuple(sign(l.eval_at(inner)) for l in arr.lines)
+
+
+@pytest.mark.parametrize("k,seed,keep", [(4, 0, None), (6, 1, 5), (8, 2, None), (9, 3, 7)])
+def test_assign_points_strict_grid_lines(k, seed, keep):
+    P = perturbed_grid(k, seed=seed)
+    lines = grid_lines(k)
+    if keep is not None:
+        rng = np.random.default_rng(seed)
+        lines = [lines[i] for i in sorted(rng.choice(len(lines), keep, replace=False))]
+    _assign_both(P, lines)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_assign_points_relaxed_lines_through_points(seed):
+    rng = np.random.default_rng(seed)
+    P = perturbed_grid(6, seed=seed + 10)
+    pairs = [rng.choice(len(P), 2, replace=False) for _ in range(8)]
+    lines = [line_through(P[int(i)], P[int(j)]) for i, j in pairs]
+    _, _, (_, ties) = _assign_both(P, lines)
+    assert ties >= len({int(i) for pr in pairs for i in pr})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_assign_points_on_diagonals_and_vertices(seed):
+    rng = np.random.default_rng(seed)
+    lines = _lines_crossing_box(rng, 6)
+    # Three lines through the box centre make a vertex of degree 6.
+    lines += [CanonicalLine.from_coeffs(2, -2, 0), CanonicalLine.from_coeffs(2, 2, -2)]
+    box = (Fraction(-1, 10), Fraction(-1, 10), Fraction(11, 10), Fraction(11, 10))
+    arr = build_arrangement(lines, box)
+    tris = [t for f in arr.faces for t in triangulate_face(f)]
+    pts = [v for t in tris for v in t]  # arrangement and box vertices
+    pts += [Point((a.x + b.x) / 2, (a.y + b.y) / 2) for a, b, _ in tris]  # edges, diagonals
+    pts += [Point((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3) for a, b, c in tris]
+    grid = rng.integers(0, 98, (40, 2))
+    pts += [Point(Fraction(int(x), 97), Fraction(int(y), 97)) for x, y in grid]
+    P = PointSet(list(dict.fromkeys(pts)))
+    _, _, (lists, ties) = _assign_both(P, lines, box)
+    assert ties > len(tris)
+    assert sorted(i for pl in lists for i in pl) == list(range(len(P)))
+
+
+@pytest.mark.parametrize("scale", [
+    Fraction(2 ** 70), Fraction(3 ** 50, 7), Fraction(2 ** 398),
+    Fraction(2 ** 405, 3), Fraction(1, 2 ** 398), Fraction(5, 2 ** 410),
+])
+def test_assign_points_large_and_tiny_coordinates(scale):
+    P, lines = _scaled(perturbed_grid(5, seed=6), grid_lines(5), scale)
+    _assign_both(P, lines)
+    rng = np.random.default_rng(7)
+    pairs = rng.integers(0, len(P), (6, 2))
+    through = [line_through(P[int(i)], P[int(j)]) for i, j in pairs if i != j]
+    _, _, (_, ties) = _assign_both(P, through[:4] + lines[:3])
+    assert ties > 0
+
+
+def test_build_partition_matches_reference_assignment():
+    P = perturbed_grid(10, seed=12)
+    part = build_partition(P, grid_lines(10), r=4, seed=5)
+    assert (part.point_lists, part.boundary_ties) == _ref_assign_points(P, part.triangles)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(2 ** 399), Fraction(1, 2 ** 401)])
+def test_stabbing_stats_matches_reference(scale):
+    P, lines = _scaled(perturbed_grid(6, seed=9), grid_lines(6), scale)
+    part = build_partition(P, lines, r=4, seed=2)
+    rng = np.random.default_rng(11)
+    verts = sorted({v for t in part.triangles for v in t}, key=lambda v: (v.x, v.y))
+    test_lines = random_box_lines(part.box, 40, seed=3) + list(lines[:4])
+    for i, j in rng.integers(0, len(verts), (30, 2)):
+        if i != j:
+            test_lines.append(line_through(verts[int(i)], verts[int(j)]))
+    # Through one vertex, in a random direction.
+    for i in rng.integers(0, len(verts), 10):
+        v = verts[int(i)]
+        w = Point(v.x + scale * int(rng.integers(1, 9)), v.y - scale)
+        test_lines.append(line_through(v, w))
+    assert stabbing_stats(part, test_lines) == _ref_stabbing_stats(part, test_lines)
+    assert stabbing_stats(part, []) == (0, 0.0)
