@@ -23,9 +23,9 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .geom import CanonicalLine, Point
+from .geom import CanonicalLine
 from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair
 from .solvers import ALGOS, VerificationError, sigma_lower_bound, solve
 # Not called here: sepbench/test_layers.py checks that its tracer rebinds them in cli too.
@@ -49,39 +49,64 @@ def _strip(line: str) -> str:
 
 
 # An ASCII integer or p/q token; any other token goes through Fraction(str).
-_INT_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_TOKEN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+_INT_RATIO = re.compile(_TOKEN)
+# A point line of two such tokens and no comment, read without splitting
+# it; compiled on first use (the re module caches it), not at import.
+_INT_RATIO_LINE = rf"[ \t]*{_TOKEN}[ \t]+{_TOKEN}[ \t\r\n]*"
 
 
-def _coord(tok: str) -> Fraction:
+def _coord(tok: str) -> Tuple[int, int]:
+    """(p, q) with q > 0 and p/q the token's value, not always in lowest
+    terms; a bad token raises what Fraction(tok) raises."""
     m = _INT_RATIO.fullmatch(tok)
     if m is None:
-        return Fraction(tok)
+        return Fraction(tok).as_integer_ratio()
     p, q = m.groups()
-    return Fraction(int(p), int(q) if q else 1)
+    p, q = int(p), int(q) if q else 1
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return p, q
 
 
 def parse_point_file(path: str) -> PointSet:
-    pts: List[Point] = []
+    xn: List[int] = []
+    xd: List[int] = []
+    yn: List[int] = []
+    yd: List[int] = []
+    line_match = re.compile(_INT_RATIO_LINE).fullmatch
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                body = _strip(raw)
-                if not body:
-                    continue
-                toks = body.split()
-                if len(toks) != 2:
-                    raise ParseFileError(
-                        f"{path}:{lineno}: expected 'x y', got {len(toks)} fields"
-                    )
-                try:
-                    x, y = _coord(toks[0]), _coord(toks[1])
-                except (ValueError, ZeroDivisionError) as e:
-                    raise ParseFileError(f"{path}:{lineno}: bad coordinate: {e}")
-                pts.append(Point(x, y))
+                m = line_match(raw)
+                if m is not None:
+                    px, qx, py, qy = m.groups()
+                    try:
+                        px, qx, py, qy = int(px), int(qx or 1), int(py), int(qy or 1)
+                    except ValueError:  # too many digits: _coord below says so
+                        m = None
+                # A zero denominator also takes this path, so _coord raises.
+                if m is None or not (qx and qy):
+                    body = _strip(raw)
+                    if not body:
+                        continue
+                    toks = body.split()
+                    if len(toks) != 2:
+                        raise ParseFileError(
+                            f"{path}:{lineno}: expected 'x y', got {len(toks)} fields"
+                        )
+                    try:
+                        (px, qx), (py, qy) = _coord(toks[0]), _coord(toks[1])
+                    except (ValueError, ZeroDivisionError) as e:
+                        raise ParseFileError(f"{path}:{lineno}: bad coordinate: {e}")
+                xn.append(px)
+                xd.append(qx)
+                yn.append(py)
+                yd.append(qy)
     except OSError as e:
         raise ParseFileError(f"cannot read {path}: {e}")
     try:
-        return PointSet(pts)
+        return PointSet.from_ratios(xn, xd, yn, yd)
     except ValueError as e:
         raise ParseFileError(f"{path}: {e}")
 
@@ -104,7 +129,7 @@ def parse_line_file(path: str) -> List[CanonicalLine]:
                 except ValueError as e:
                     raise ParseFileError(f"{path}:{lineno}: bad coefficient: {e}")
                 try:
-                    lines.append(CanonicalLine.from_coeffs(a, b, c))
+                    lines.append(CanonicalLine.from_ints(a, b, c))
                 except ValueError as e:
                     raise ParseFileError(f"{path}:{lineno}: invalid line: {e}")
     except OSError as e:

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import CanonicalLine, Point, splitmix64
+from .geom import CanonicalLine, splitmix64
 from .sepsys import PointSet, PreconditionError, SeparationMode, refine, split_line
 from .solvers import VerificationError, grid_lines, grid_separator
 # Not called here: sepbench/test_layers.py checks that its tracer rebinds them here too.
@@ -204,9 +203,8 @@ def random_points(n: int, seed: int) -> PointSet:
     if n < 0:
         raise PreconditionError("n must be non-negative")
     xs, ys = _draw_grid_ints(n, np.random.default_rng(seed))
-    return PointSet(
-        [Point(Fraction(int(x), GRID), Fraction(int(y), GRID)) for x, y in zip(xs, ys)]
-    )
+    den = [GRID] * n
+    return PointSet.from_ratios(xs.tolist(), den, ys.tolist(), den)
 
 
 def cell_statistics(

@@ -8,6 +8,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,25 +68,80 @@ class SeparationMode(Enum):
     RELAXED = "relaxed"
 
 
+def clear_denominators(
+    xn: Sequence[int], xd: Sequence[int], yn: Sequence[int], yd: Sequence[int]
+) -> Tuple[List[int], List[int], int]:
+    """(X, Y, D) with xn[i]/xd[i] = X[i]/D and yn[i]/yd[i] = Y[i]/D, where
+    D is the least common denominator. The denominators must be positive
+    but need not be in lowest terms. With L the lcm of the distinct
+    denominators and N = p*L/q for each value p/q, D = L/gcd(L, N_1, ...)
+    and each cleared value is N/gcd: one lcm, one gcd and one exact
+    division per value."""
+    dens = {*xd, *yd}
+    L = math.lcm(1, *dens)
+    scale = {q: L // q for q in dens}
+    X = [p * scale[q] for p, q in zip(xn, xd)]
+    Y = [p * scale[q] for p, q in zip(yn, yd)]
+    g = math.gcd(L, *X, *Y)
+    if g > 1:
+        X = [v // g for v in X]
+        Y = [v // g for v in Y]
+    return X, Y, L // g
+
+
 class PointSet:
     """Ordered, duplicate-free list of exact rational points.
 
-    Integer clearings (common denominator) are cached because every hot
-    predicate runs on integers: with x = X/D, the sign of a*x + b*y + c
-    equals the sign of a*X + b*Y + c*D.
+    The stored form is the cleared integers (X, Y, D) of ``int_coords``:
+    point i is (X[i]/D, Y[i]/D) with D the least common denominator.
+    Every hot predicate runs on them, because the sign of a*x + b*y + c
+    equals the sign of a*X + b*Y + c*D. The ``Point`` objects (``points``,
+    ``P[i]``, iteration) are built from them only on first use.
     """
 
     def __init__(self, points: Sequence[Point]):
         pts = tuple(points)
-        if len(set(pts)) != len(pts):
+        self._store(*clear_denominators(
+            [p.x.numerator for p in pts], [p.x.denominator for p in pts],
+            [p.y.numerator for p in pts], [p.y.denominator for p in pts],
+        ))
+        self._points = pts
+
+    @classmethod
+    def from_ratios(
+        cls, xn: Sequence[int], xd: Sequence[int], yn: Sequence[int], yd: Sequence[int]
+    ) -> "PointSet":
+        """The points (xn[i]/xd[i], yn[i]/yd[i]), from integer numerators
+        and positive denominators that need not be in lowest terms."""
+        P = cls.__new__(cls)
+        P._store(*clear_denominators(xn, xd, yn, yd))
+        return P
+
+    def _store(self, xs: List[int], ys: List[int], d: int) -> None:
+        if len(set(zip(xs, ys))) != len(xs):
             raise ValueError("duplicate points in PointSet")
-        self.points = pts
-        self._int_coords: Optional[Tuple[List[int], List[int], int]] = None
+        self._int_coords = (xs, ys, d)
+        self._points: Optional[Tuple[Point, ...]] = None
         self._general_position: Optional[bool] = None
         self._float_coords: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
+    def subset(self, idx: Sequence[int]) -> "PointSet":
+        """The points at the distinct indices ``idx``, in that order."""
+        xs, ys, d = self._int_coords
+        den = [d] * len(idx)
+        return PointSet.from_ratios([xs[i] for i in idx], den, [ys[i] for i in idx], den)
+
+    @property
+    def points(self) -> Tuple[Point, ...]:
+        if self._points is None:
+            xs, ys, d = self._int_coords
+            self._points = tuple(
+                Point(Fraction(x, d), Fraction(y, d)) for x, y in zip(xs, ys)
+            )
+        return self._points
+
     def __len__(self):
-        return len(self.points)
+        return len(self._int_coords[0])
 
     def __getitem__(self, i: int) -> Point:
         return self.points[i]
@@ -94,21 +150,14 @@ class PointSet:
         return iter(self.points)
 
     def int_coords(self) -> Tuple[List[int], List[int], int]:
-        """(X, Y, D) with points[i] = (X[i]/D, Y[i]/D)."""
-        if self._int_coords is None:
-            rx = [p.x.as_integer_ratio() for p in self.points]
-            ry = [p.y.as_integer_ratio() for p in self.points]
-            d = math.lcm(1, *{q for _, q in rx}, *{q for _, q in ry})
-            xs = [v * (d // q) for v, q in rx]
-            ys = [v * (d // q) for v, q in ry]
-            self._int_coords = (xs, ys, d)
+        """(X, Y, D) with points[i] = (X[i]/D, Y[i]/D), D least."""
         return self._int_coords
 
     @cached_property
     def int_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray, int, int]]:
         """(X, Y, max |X|, max |Y|) with X, Y the int_coords as int64
         arrays, or None if some coordinate needs more than 62 bits."""
-        xs, ys, _ = self.int_coords()
+        xs, ys, _ = self._int_coords
         xmax = max(map(abs, xs), default=0)
         ymax = max(map(abs, ys), default=0)
         if max(xmax, ymax) >= 2 ** 62:
@@ -116,21 +165,29 @@ class PointSet:
         return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), xmax, ymax
 
     def float_coords(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Float64 x and y arrays for the kernels (see float_array)."""
+        """Float64 x and y arrays for the kernels: float_array of the
+        Fraction coordinates. When X, Y and D are all at most 2^53 in
+        magnitude they are exact doubles, so one numpy division X/D,
+        correctly rounded, gives the same floats as float(Fraction)."""
         if self._float_coords is None:
-            self._float_coords = (float_array([p.x for p in self.points]),
-                                  float_array([p.y for p in self.points]))
+            xs, ys, d = self._int_coords
+            arrs = self.int_arrays
+            if arrs is not None and max(arrs[2], arrs[3], d) <= 2 ** 53:
+                self._float_coords = (arrs[0] / d, arrs[1] / d)
+            else:
+                self._float_coords = (float_array([Fraction(x, d) for x in xs]),
+                                      float_array([Fraction(y, d) for y in ys]))
         return self._float_coords
 
     @property
     def general_position(self) -> bool:
         """True iff no three points are collinear, that is, iff the n
-        points span C(n, 2) distinct candidate lines. Computed for up to
-        512 points; larger sets are assumed in general position (with a
-        warning), which holds with overwhelming probability for the random
-        constructions this library targets."""
+        points span C(n, 2) distinct lines. Computed for up to 512 points;
+        larger sets are assumed in general position (with a warning), which
+        holds with overwhelming probability for the random constructions
+        this library targets."""
         if self._general_position is None:
-            n = len(self.points)
+            n = len(self)
             if n > GENERAL_POSITION_CHECK_CAP:
                 warnings.warn(
                     f"general position assumed, not checked, for n={n} > "
@@ -139,11 +196,16 @@ class PointSet:
                 )
                 self._general_position = True
             else:
-                self._general_position = n < 3 or len(candidate_lines(self)) == n * (n - 1) // 2
+                xs, ys, d = self._int_coords
+                keys = {
+                    int_line_through(xs[i], ys[i], xs[j], ys[j], d)
+                    for i in range(n) for j in range(i + 1, n)
+                }
+                self._general_position = len(keys) == n * (n - 1) // 2
         return self._general_position
 
     def pairs(self) -> List[PairId]:
-        n = len(self.points)
+        n = len(self)
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 

@@ -658,7 +658,7 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
 
     def cut_two_and_two() -> Tuple[List[int], List[int], CanonicalLine]:
         active = active_L + active_R
-        sub = PointSet([P[w] for w in active])
+        sub = P.subset(active)
         for ii in range(len(active)):
             for jj in range(ii + 1, len(active)):
                 u, v = active[ii], active[jj]
@@ -738,6 +738,48 @@ def grid_lines(P: PointSet, N: int) -> List[CanonicalLine]:
     return lines + [CanonicalLine.from_ints(0, N, -i) for i in range(1, N)]
 
 
+def _grid_cells(P: PointSet, N: int) -> Tuple[int, List[List[int]]]:
+    """Bin the points of P (in the closed unit square) into the N x N grid
+    cells: the number of points on a grid line, and the ascending point
+    indices of each cell holding at least 2 points, in cell order (x
+    column, then y row). A coordinate exactly on an inner grid line goes
+    to the lower cell, and 1 to the last cell."""
+    xs, ys, d = P.int_coords()
+    if P.int_arrays is not None and d * N < 2 ** 63:
+        # 0 <= X, Y <= D, so every X*N and Y*N fits in int64.
+        X, Y = P.int_arrays[:2]
+        cx, rx = np.divmod(X * N, d)
+        cy, ry = np.divmod(Y * N, d)
+        fx = (rx == 0) & (0 < cx) & (cx < N)
+        fy = (ry == 0) & (0 < cy) & (cy < N)
+        cx = np.minimum(cx - fx, N - 1)
+        cy = np.minimum(cy - fy, N - 1)
+        order = np.lexsort((cy, cx))  # stable: ascending indices within a cell
+        kx, ky = cx[order], cy[order]
+        cuts = np.flatnonzero(np.r_[True, (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1]), True])
+        groups = [
+            order[cuts[k]:cuts[k + 1]].tolist() for k in np.flatnonzero(np.diff(cuts) >= 2)
+        ]
+        return int(np.count_nonzero(fx | fy)), groups
+
+    def cell_coord(num: int) -> Tuple[int, bool]:
+        c, rem = divmod(num * N, d)
+        if rem == 0 and 0 < c < N:
+            return c - 1, True  # exactly on grid line: lower cell
+        if c == N:  # coordinate exactly 1
+            return N - 1, False
+        return c, False
+
+    cells: Dict[Tuple[int, int], List[int]] = {}
+    flagged = 0
+    for i in range(len(P)):
+        cx, fx = cell_coord(xs[i])
+        cy, fy = cell_coord(ys[i])
+        flagged += fx or fy
+        cells.setdefault((cx, cy), []).append(i)
+    return flagged, [cells[key] for key in sorted(cells) if len(cells[key]) >= 2]
+
+
 def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
     """The 2(N-1) grid lines x=i/N, y=i/N plus per-cell separators: the
     perpendicular bisector for cells with 2 points, recursive halving for
@@ -748,34 +790,17 @@ def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
     if N < 1:
         raise PreconditionError(f"grid size N must be positive, got {N}")
     lines = grid_lines(P, N)
-    xs, ys, d = P.int_coords()
-    cells: Dict[Tuple[int, int], List[int]] = {}
-    flagged = 0
-
-    def cell_coord(num: int) -> Tuple[int, bool]:
-        c, rem = divmod(num * N, d)
-        if rem == 0 and 0 < c < N:
-            return c - 1, True  # exactly on grid line: lower cell
-        if c == N:  # coordinate exactly 1
-            return N - 1, False
-        return c, False
-
-    for i in range(n):
-        cx, fx = cell_coord(xs[i])
-        cy, fy = cell_coord(ys[i])
-        flagged += fx or fy
-        cells.setdefault((cx, cy), []).append(i)
+    flagged, groups = _grid_cells(P, N)
     if flagged:
         warnings.warn(
             f"{flagged} point(s) exactly on grid lines assigned to the lower cell",
             stacklevel=2,
         )
-    for key in sorted(cells):
-        idxs = cells[key]
+    for idxs in groups:
         if len(idxs) == 2:
             lines.append(_perp_bisector(P, *idxs))
-        elif len(idxs) > 2:
-            lines.extend(halving_separator(PointSet([P[i] for i in idxs])))
+        else:
+            lines.extend(halving_separator(P.subset(idxs)))
     # On-gridline points can straddle a cell boundary without a strict
     # separator; patch any such pair directly.
     guard = 0
