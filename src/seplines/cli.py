@@ -49,11 +49,7 @@ def _strip(line: str) -> str:
 
 
 # An ASCII integer or p/q token; any other token goes through Fraction(str).
-_TOKEN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
-_INT_RATIO = re.compile(_TOKEN)
-# A point line of two such tokens and no comment, read without splitting
-# it; compiled on first use (the re module caches it), not at import.
-_INT_RATIO_LINE = rf"[ \t]*{_TOKEN}[ \t]+{_TOKEN}[ \t\r\n]*"
+_INT_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _coord(tok: str) -> Tuple[int, int]:
@@ -74,31 +70,21 @@ def parse_point_file(path: str) -> PointSet:
     xd: List[int] = []
     yn: List[int] = []
     yd: List[int] = []
-    line_match = re.compile(_INT_RATIO_LINE).fullmatch
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                m = line_match(raw)
-                if m is not None:
-                    px, qx, py, qy = m.groups()
-                    try:
-                        px, qx, py, qy = int(px), int(qx or 1), int(py), int(qy or 1)
-                    except ValueError:  # too many digits: _coord below says so
-                        m = None
-                # A zero denominator also takes this path, so _coord raises.
-                if m is None or not (qx and qy):
-                    body = _strip(raw)
-                    if not body:
-                        continue
-                    toks = body.split()
-                    if len(toks) != 2:
-                        raise ParseFileError(
-                            f"{path}:{lineno}: expected 'x y', got {len(toks)} fields"
-                        )
-                    try:
-                        (px, qx), (py, qy) = _coord(toks[0]), _coord(toks[1])
-                    except (ValueError, ZeroDivisionError) as e:
-                        raise ParseFileError(f"{path}:{lineno}: bad coordinate: {e}")
+                body = _strip(raw)
+                if not body:
+                    continue
+                toks = body.split()
+                if len(toks) != 2:
+                    raise ParseFileError(
+                        f"{path}:{lineno}: expected 'x y', got {len(toks)} fields"
+                    )
+                try:
+                    (px, qx), (py, qy) = _coord(toks[0]), _coord(toks[1])
+                except (ValueError, ZeroDivisionError) as e:
+                    raise ParseFileError(f"{path}:{lineno}: bad coordinate: {e}")
                 xn.append(px)
                 xd.append(qx)
                 yn.append(py)
