@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .geom import CanonicalLine
-from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair
+from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair, int_str
 from .solvers import ALGOS, VerificationError, sigma_lower_bound, solve
 # Not called here: sepbench/test_layers.py checks that its tracer rebinds them in cli too.
 from .solvers import grid_separator, halving_separator  # noqa: F401
@@ -124,7 +124,7 @@ def parse_line_file(path: str) -> List[CanonicalLine]:
 
 
 def format_lines(lines: Sequence[CanonicalLine]) -> str:
-    return "".join(f"{l.a} {l.b} {l.c}\n" for l in lines)
+    return "".join(" ".join(map(int_str, l.coeffs())) + "\n" for l in lines)
 
 
 def _mode(name: str) -> SeparationMode:
@@ -173,7 +173,7 @@ def cmd_solve(args) -> int:
             "rounds": res.rounds_used,
             "fell_back": res.fell_back,
             "wall_time_ms": round(elapsed_ms, 3) if args.timing else None,
-            "lines": [[str(l.a), str(l.b), str(l.c)] for l in res.lines],
+            "lines": [list(map(int_str, l.coeffs())) for l in res.lines],
         }
         _emit_json(summary)
     else:

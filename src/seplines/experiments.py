@@ -17,14 +17,13 @@ import numpy as np
 
 from .geom import CanonicalLine, splitmix64
 from .sepsys import PointSet, PreconditionError, SeparationMode, refine, split_line
-from .solvers import VerificationError, grid_lines, grid_separator
+from .solvers import VerificationError, cell_groups, grid_columns, grid_lines, grid_separator
 # Not called here: sepbench/test_layers.py checks that its tracer rebinds them here too.
 from .sepsys import find_unseparated_pair  # noqa: F401
 from .solvers import halving_separator  # noqa: F401
 
 GRID_BITS = 40
 GRID = 1 << GRID_BITS
-DENSE_BIN_CAP = 10 ** 7
 
 
 def trial_seed(seed: int, trial: int) -> int:
@@ -51,22 +50,14 @@ class BallsBinsStats:
 
 
 def throw_balls(n_balls: int, n_bins: int, seed: int) -> BallsBinsStats:
-    """Throw n_balls uniform balls into n_bins bins; occupancy statistics.
-
-    Bins are never materialized densely beyond 10^7; above that only the
-    occupied bins are counted (via np.unique on the drawn bin ids).
-    """
+    """Throw n_balls uniform balls into n_bins bins; occupancy statistics
+    of the occupied bins, counted by np.unique on the drawn bin ids."""
     if n_balls < 0 or not 1 <= n_bins < 2 ** 63:
         raise PreconditionError("need n_balls >= 0 and 1 <= n_bins < 2^63")
     rng = np.random.default_rng(seed)
     if n_balls == 0:
         return BallsBinsStats(n_balls, n_bins, 0, 0, 0, 0, 0, 0)
-    ids = rng.integers(0, n_bins, size=n_balls)
-    if n_bins <= DENSE_BIN_CAP:
-        occ = np.bincount(ids, minlength=0)
-        occ = occ[occ > 0]
-    else:
-        _, occ = np.unique(ids, return_counts=True)
+    _, occ = np.unique(rng.integers(0, n_bins, size=n_balls), return_counts=True)
     ls = [int(occ[occ >= i].sum()) for i in (2, 3, 4)]
     return BallsBinsStats(
         n_balls=n_balls,
@@ -308,24 +299,13 @@ def fit_exponent(ns: Sequence[int], means: Sequence[float]) -> Optional[float]:
     return float(slope)
 
 
-def grid_cells(xs: Sequence[int], ys: Sequence[int], d: int, N: int) -> np.ndarray:
-    """The cell id cx * N + cy of each point (X/d, Y/d) of the closed unit
-    square on the N x N grid, with cx = min(X * N // d, N - 1) and cy
-    likewise: a point on a grid line goes to the upper cell, except at 1."""
-    if (d * N).bit_length() < 63:  # X * N <= d * N fits in int64
-        X, Y = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-        cx, cy = np.minimum(X * N // d, N - 1), np.minimum(Y * N // d, N - 1)
-    else:
-        cx = np.array([min(x * N // d, N - 1) for x in xs], dtype=np.int64)
-        cy = np.array([min(y * N // d, N - 1) for y in ys], dtype=np.int64)
-    return cx * N + cy
-
-
 def cell_counts(xs: Sequence[int], ys: Sequence[int], d: int, N: int) -> Tuple[int, np.ndarray]:
-    """(colliding pairs, ids of the active cells) of the points (X/d, Y/d)
-    on the N x N grid (see grid_cells); a cell is active when it holds
-    two or more points."""
-    ids, counts = np.unique(grid_cells(xs, ys, d, N), return_counts=True)
+    """(colliding pairs, ids cx * N + cy of the active cells) of the points
+    (X/d, Y/d) of the closed unit square on the N x N grid, with cx and cy
+    their grid_columns; a cell is active when it holds two or more
+    points."""
+    cx, cy = grid_columns(xs, d, N)[0], grid_columns(ys, d, N)[0]
+    ids, counts = np.unique(cx * N + cy, return_counts=True)
     return int((counts * (counts - 1) // 2).sum()), ids[counts >= 2]
 
 
@@ -605,11 +585,8 @@ def t_relaxed_separator(P: PointSet, t: int) -> List[CanonicalLine]:
         split(left)
         split(right)
 
-    cells: Dict[int, List[int]] = {}
-    for i, c in enumerate(grid_cells(xs, ys, d, N).tolist()):
-        cells.setdefault(c, []).append(i)
-    for key in sorted(cells):
-        split(cells[key])
+    for group in cell_groups(grid_columns(xs, d, N)[0], grid_columns(ys, d, N)[0]):
+        split(group)
     return lines
 
 
@@ -619,7 +596,7 @@ def max_face_load(P: PointSet, lines: Sequence[CanonicalLine]) -> int:
     if len(P) == 0:
         return 0
     # Classes of one point are dropped, so an empty result means load 1.
-    classes = refine(P, lines, SeparationMode.RELAXED, stop_at=1)
+    classes = refine(P, lines, SeparationMode.RELAXED)
     return max((len(c) for c in classes), default=1)
 
 

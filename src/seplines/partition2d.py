@@ -11,10 +11,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .geom import CanonicalLine, Point, line_through, orient, sign
 from .sepsys import (
-    PointSet, PreconditionError, SeparationMode, find_unseparated_pair, float_array, line_signs,
+    PointSet, PreconditionError, SeparationMode, find_unseparated_pair, int_str, line_signs,
 )
 
 ARRANGEMENT_LINE_CAP = 512
@@ -319,18 +318,11 @@ def stabbing_stats(
 ) -> Tuple[int, float]:
     """(max, mean) number of triangles intersected per test line; a closed
     triangle is intersected unless all its vertices are strictly on one
-    side (exact signs: the float kernel on the distinct vertices, with
-    every uncertain entry settled exactly)."""
+    side (exact signs of the lines at the distinct vertices)."""
     if not test_lines:
         return 0, 0.0
     verts = list(dict.fromkeys(v for tri in partition.triangles for v in tri))
-    abc = float_array([v for l in test_lines for v in l.coeffs()])
-    signs, unc = _kernels.eval_signs(
-        abc[0::3], abc[1::3], abc[2::3],
-        float_array([v.x for v in verts]), float_array([v.y for v in verts]),
-    )
-    for i, j in zip(*np.nonzero(unc)):
-        signs[i, j] = sign(test_lines[j].eval_at(verts[i]))
+    signs = line_signs(PointSet(verts), test_lines)
     pos = {v: k for k, v in enumerate(verts)}
     s = signs[np.array([pos[v] for tri in partition.triangles for v in tri], dtype=np.int64)]
     s = s.reshape(len(partition.triangles), 3, len(test_lines))
@@ -341,8 +333,6 @@ def stabbing_stats(
 def random_box_lines(box: Box, k: int, seed: int) -> List[CanonicalLine]:
     """k lines through pairs of random rational points on the box boundary
     (for stabbing statistics)."""
-    from .geom import line_through
-
     x0, y0, x1, y1 = box
     w, h = x1 - x0, y1 - y0
     rng = np.random.default_rng(seed)
@@ -372,7 +362,7 @@ def random_box_lines(box: Box, k: int, seed: int) -> List[CanonicalLine]:
 
 
 def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+    return f"{int_str(v.numerator)}/{int_str(v.denominator)}"
 
 
 def partition_to_json(partition: Partition) -> dict:
@@ -383,7 +373,7 @@ def partition_to_json(partition: Partition) -> dict:
         "boundary_ties": partition.boundary_ties,
         "attempts": partition.attempts,
         "box": [_frac_str(v) for v in partition.box],
-        "sampled_lines": [[str(l.a), str(l.b), str(l.c)] for l in partition.sampled_lines],
+        "sampled_lines": [list(map(int_str, l.coeffs())) for l in partition.sampled_lines],
         "triangles": [
             {
                 "vertices": [[_frac_str(v.x), _frac_str(v.y)] for v in tri],

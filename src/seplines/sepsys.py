@@ -5,7 +5,7 @@ of relaxed separating sets into strictly separating ones.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -26,8 +26,6 @@ _KERNEL_THRESHOLD = 200_000
 # magnitude: products then stay normal doubles, so the kernels' relative
 # error bound is sound. Inputs outside that range become NaN.
 _FLOAT_EXP = 400
-
-GENERAL_POSITION_CHECK_CAP = 512
 
 
 def float_array(values: Sequence) -> np.ndarray:
@@ -61,6 +59,20 @@ class GeneralPositionError(PreconditionError):
 
 class PropernessError(PreconditionError):
     """Raised by properize when a line carries three or more points."""
+
+
+def int_str(v: int) -> str:
+    """The decimal text of v for every output file and JSON field. Python
+    converts integers of at most sys.get_int_max_str_digits() digits to
+    and from text; a longer one is a PreconditionError, because its text
+    could not be read back either."""
+    try:
+        return str(v)
+    except ValueError:
+        raise PreconditionError(
+            f"an output integer has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for reading or writing an integer as text"
+        ) from None
 
 
 class SeparationMode(Enum):
@@ -181,27 +193,22 @@ class PointSet:
 
     @property
     def general_position(self) -> bool:
-        """True iff no three points are collinear, that is, iff the n
-        points span C(n, 2) distinct lines. Computed for up to 512 points;
-        larger sets are assumed in general position (with a warning), which
-        holds with overwhelming probability for the random constructions
-        this library targets."""
+        """True iff no three points are collinear, that is, iff from each
+        point the reduced directions to the later points are pairwise
+        distinct."""
         if self._general_position is None:
-            n = len(self)
-            if n > GENERAL_POSITION_CHECK_CAP:
-                warnings.warn(
-                    f"general position assumed, not checked, for n={n} > "
-                    f"{GENERAL_POSITION_CHECK_CAP}",
-                    stacklevel=2,
-                )
-                self._general_position = True
-            else:
-                xs, ys, d = self._int_coords
-                keys = {
-                    int_line_through(xs[i], ys[i], xs[j], ys[j], d)
-                    for i in range(n) for j in range(i + 1, n)
-                }
-                self._general_position = len(keys) == n * (n - 1) // 2
+            xs, ys, _ = self._int_coords
+
+            def direction(dx: int, dy: int) -> Tuple[int, int]:
+                g = math.gcd(dx, dy)
+                g = g if dx > 0 or (dx == 0 and dy > 0) else -g
+                return dx // g, dy // g
+
+            self._general_position = all(
+                len({direction(x - x0, y - y0) for x, y in zip(xs[i + 1:], ys[i + 1:])})
+                == len(xs) - 1 - i
+                for i, (x0, y0) in enumerate(zip(xs, ys))
+            )
         return self._general_position
 
     def pairs(self) -> List[PairId]:
@@ -324,13 +331,13 @@ def _family_slots(P: PointSet, pts: np.ndarray, direction: Tuple[int, int], fam)
     return np.searchsorted(T, keys, "left"), np.searchsorted(T, keys, "right")
 
 
-def _split(cls, lo, hi, width, mode, stop_at, *carry):
+def _split(cls, lo, hi, width, mode, *carry):
     """Refine the classes ``cls`` of the point copies by one family of
     ``width - 1`` parallel lines with per-copy slots (lo, hi). Relaxed
     mode keys a copy by its exact sign pattern (lo + hi); strict mode puts
     a copy lying on a line into the cells on both sides of it. Classes of
-    at most ``stop_at`` copies are dropped. Returns the new compact class
-    labels and the carried per-copy arrays, filtered alike."""
+    one copy are dropped. Returns the new compact class labels and the
+    carried per-copy arrays, filtered alike."""
     if mode is SeparationMode.RELAXED:
         key = cls * (2 * width) + lo + hi
     else:
@@ -341,17 +348,16 @@ def _split(cls, lo, hi, width, mode, stop_at, *carry):
         inv, counts = key, np.bincount(key)
     else:
         _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
-    big = counts > stop_at
+    big = counts > 1
     keep = big[inv]
     return (np.cumsum(big) - 1)[inv[keep]], [a[keep] for a in carry]
 
 
 def refine(
-    P: PointSet, lines: Sequence[CanonicalLine], mode: SeparationMode, stop_at: int = 1
+    P: PointSet, lines: Sequence[CanonicalLine], mode: SeparationMode
 ) -> List[np.ndarray]:
-    """The classes of points the lines leave together, keeping only
-    classes of more than ``stop_at`` points (stop_at >= 1), each as a
-    sorted index array.
+    """The classes of two or more points the lines leave together, each
+    as a sorted index array.
 
     Relaxed: a class is a set of points with one exact sign vector.
     Strict: a point lying on a line joins both sides of it, so a class is
@@ -367,7 +373,7 @@ def refine(
     ``_KERNEL_THRESHOLD`` entries, on live points only.
     """
     n = len(P)
-    if n <= stop_at:
+    if n <= 1:
         return []
     fams: Dict[Tuple[int, int], List[CanonicalLine]] = {}
     for l in dict.fromkeys(lines):
@@ -381,7 +387,7 @@ def refine(
             singles.append(fam[0])
             continue
         lo, hi = _family_slots(P, pid, direction, fam)
-        cls, (pid,) = _split(cls, lo, hi, len(fam) + 1, mode, stop_at, pid)
+        cls, (pid,) = _split(cls, lo, hi, len(fam) + 1, mode, pid)
     start = 0
     while start < len(singles) and len(pid):
         live, row = np.unique(pid, return_inverse=True)
@@ -390,7 +396,7 @@ def refine(
         signs = line_signs(P, block, live)
         for j in range(len(block)):
             s = signs[row, j]
-            cls, (pid, row) = _split(cls, s > 0, s >= 0, 2, mode, stop_at, pid, row)
+            cls, (pid, row) = _split(cls, s > 0, s >= 0, 2, mode, pid, row)
     order = np.lexsort((pid, cls))
     return np.split(pid[order], np.nonzero(np.diff(cls[order]))[0] + 1) if len(pid) else []
 

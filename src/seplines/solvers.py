@@ -502,9 +502,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
             out.append(realize_variant(P, i, j, *_STRICT_VARIANTS[win % 4]))
         else:
             out.append(lines[win])
-        cls, (pid,) = _split(
-            cls, win_signs > 0, win_signs >= 0, 2, SeparationMode.RELAXED, 1, pid
-        )
+        cls, (pid,) = _split(cls, win_signs > 0, win_signs >= 0, 2, SeparationMode.RELAXED, pid)
         row_of = np.full(n, -1)
         row_of[pid] = np.arange(len(pid))
     _assert_separates(P, out, mode, "greedy_hitting_set")
@@ -738,46 +736,24 @@ def grid_lines(P: PointSet, N: int) -> List[CanonicalLine]:
     return lines + [CanonicalLine.from_ints(0, N, -i) for i in range(1, N)]
 
 
-def _grid_cells(P: PointSet, N: int) -> Tuple[int, List[List[int]]]:
-    """Bin the points of P (in the closed unit square) into the N x N grid
-    cells: the number of points on a grid line, and the ascending point
-    indices of each cell holding at least 2 points, in cell order (x
-    column, then y row). A coordinate exactly on an inner grid line goes
-    to the lower cell, and 1 to the last cell."""
-    xs, ys, d = P.int_coords()
-    if P.int_arrays is not None and d * N < 2 ** 63:
-        # 0 <= X, Y <= D, so every X*N and Y*N fits in int64.
-        X, Y = P.int_arrays[:2]
-        cx, rx = np.divmod(X * N, d)
-        cy, ry = np.divmod(Y * N, d)
-        fx = (rx == 0) & (0 < cx) & (cx < N)
-        fy = (ry == 0) & (0 < cy) & (cy < N)
-        cx = np.minimum(cx - fx, N - 1)
-        cy = np.minimum(cy - fy, N - 1)
-        order = np.lexsort((cy, cx))  # stable: ascending indices within a cell
-        kx, ky = cx[order], cy[order]
-        cuts = np.flatnonzero(np.r_[True, (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1]), True])
-        groups = [
-            order[cuts[k]:cuts[k + 1]].tolist() for k in np.flatnonzero(np.diff(cuts) >= 2)
-        ]
-        return int(np.count_nonzero(fx | fy)), groups
+def grid_columns(V: Sequence[int], d: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The column min(V * N // d, N - 1) of each cleared coordinate V/d in
+    [0, 1] on the N x N grid, and whether V/d lies on an inner grid line
+    i/N, 0 < i < N. In int64 when d * N < 2^63, so that every V * N fits,
+    and in Python ints otherwise."""
+    VN = np.asarray(V, dtype=np.int64 if d * N < 2 ** 63 else object) * N
+    col = VN // d
+    on_line = (VN % d == 0) & (0 < col) & (col < N)
+    return np.minimum(col, N - 1).astype(np.int64), on_line
 
-    def cell_coord(num: int) -> Tuple[int, bool]:
-        c, rem = divmod(num * N, d)
-        if rem == 0 and 0 < c < N:
-            return c - 1, True  # exactly on grid line: lower cell
-        if c == N:  # coordinate exactly 1
-            return N - 1, False
-        return c, False
 
-    cells: Dict[Tuple[int, int], List[int]] = {}
-    flagged = 0
-    for i in range(len(P)):
-        cx, fx = cell_coord(xs[i])
-        cy, fy = cell_coord(ys[i])
-        flagged += fx or fy
-        cells.setdefault((cx, cy), []).append(i)
-    return flagged, [cells[key] for key in sorted(cells) if len(cells[key]) >= 2]
+def cell_groups(cx: np.ndarray, cy: np.ndarray) -> List[List[int]]:
+    """The ascending point indices of each grid cell (cx, cy) holding at
+    least 2 points, in cell order (x column, then y row)."""
+    order = np.lexsort((cy, cx))  # stable: ascending indices within a cell
+    kx, ky = cx[order], cy[order]
+    cuts = np.flatnonzero(np.r_[True, (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1]), True])
+    return [order[cuts[k]:cuts[k + 1]].tolist() for k in np.flatnonzero(np.diff(cuts) >= 2)]
 
 
 def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
@@ -790,13 +766,15 @@ def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
     if N < 1:
         raise PreconditionError(f"grid size N must be positive, got {N}")
     lines = grid_lines(P, N)
-    flagged, groups = _grid_cells(P, N)
+    xs, ys, d = P.int_coords()
+    (cx, fx), (cy, fy) = grid_columns(xs, d, N), grid_columns(ys, d, N)
+    flagged = np.count_nonzero(fx | fy)
     if flagged:
         warnings.warn(
             f"{flagged} point(s) exactly on grid lines assigned to the lower cell",
             stacklevel=2,
         )
-    for idxs in groups:
+    for idxs in cell_groups(cx - fx, cy - fy):
         if len(idxs) == 2:
             lines.append(_perp_bisector(P, *idxs))
         else:

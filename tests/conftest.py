@@ -50,6 +50,20 @@ def perturbed_grid(k: int, seed: int) -> PointSet:
     return PointSet(pts)
 
 
+def with_collinear_triple(n: int, seed: int, i: int, j: int) -> PointSet:
+    """n - 1 random points of the 2^40 grid, in general position, and as
+    point n - 1 the midpoint of points i and j."""
+    from seplines.experiments import random_points
+
+    base = random_points(n - 1, seed)
+    assert base.general_position
+    xs, ys, d = base.int_coords()
+    den = [2 * d] * n
+    return PointSet.from_ratios(
+        [2 * x for x in xs] + [xs[i] + xs[j]], den, [2 * y for y in ys] + [ys[i] + ys[j]], den
+    )
+
+
 def grid_lines(k: int) -> List[CanonicalLine]:
     """The 2(k-1) lines of the k x k unit grid."""
     out = [CanonicalLine.from_coeffs(k, 0, -i) for i in range(1, k)]

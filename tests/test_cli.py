@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -470,3 +471,42 @@ def test_grid_outside_unit_square_exits_3(tmp_path, capsys):
     pf.write_text(f"0 0\n1/2 1/3\n{2 ** 80 + 1}/{2 ** 80} 1/2\n")
     assert main(["solve", "--input", str(pf), "--algo", "grid"]) == EXIT_PRECONDITION
     assert "unit square" in capsys.readouterr().err
+
+
+def test_halving_on_600_points_with_collinear_triple_exits_3(tmp_path, capsys):
+    from .conftest import with_collinear_triple
+
+    xs, ys, d = with_collinear_triple(600, 600, 200, 400).int_coords()
+    pf = tmp_path / "p.txt"
+    pf.write_text("".join(f"{x}/{d} {y}/{d}\n" for x, y in zip(xs, ys)))
+    t0 = time.perf_counter()
+    assert main(["solve", "--input", str(pf), "--algo", "halving"]) == EXIT_PRECONDITION
+    assert time.perf_counter() - t0 < 30
+    assert "collinear" in capsys.readouterr().err
+
+
+# Integers of more than 4300 digits cannot be written as text (nor read
+# back by the parsers), so these valid inputs exit 3 before any output.
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_solve_output_past_digit_limit_exits_3(tmp_path, capsys, json_flag):
+    q = 10 ** 2999
+    pf = tmp_path / "p.txt"
+    pf.write_text(f"1/{q + 1} 0\n0 1/{q + 3}\n1/{q + 7} 1/{q + 7}\n")
+    argv = ["solve", "--input", str(pf), "--algo", "exact"] + json_flag
+    assert main(argv) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "4300 digits" in captured.err
+
+
+def test_partition_output_past_digit_limit_exits_3(tmp_path, capsys):
+    a, b = 10 ** 2699 + 1, 10 ** 2699 + 3
+    pf, lf, out = tmp_path / "p.txt", tmp_path / "l.txt", tmp_path / "part.json"
+    pf.write_text(SQUARE)
+    lf.write_text(f"{2 * a + 1} 1 {-a}\n1 {2 * b + 1} {-b}\n")
+    assert main(["verify", "--points", str(pf), "--lines", str(lf)]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["partition", "--points", str(pf), "--lines", str(lf), "--r", "1", "--out", str(out)]
+    assert main(argv) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "4300 digits" in captured.err
+    assert not out.exists()

@@ -46,7 +46,7 @@ def test_throw_balls_colliding_pairs_expectation():
 
 
 def test_throw_balls_sparse_bins_path():
-    # n_bins above the dense cap exercises the np.unique path.
+    # 10^9 bins: far more than balls, so almost every occupied bin holds one.
     st = ex.throw_balls(1000, 10 ** 9, seed=1)
     assert st.n_bins == 10 ** 9
     assert st.l2 >= 0 and st.max_occupancy >= 1

@@ -13,7 +13,7 @@ from seplines import experiments as ex
 from seplines.cli import EXIT_PARSE, ParseFileError, main, parse_point_file
 from seplines.geom import Point, line_through
 from seplines.sepsys import PointSet, clear_denominators, float_array
-from seplines.solvers import _grid_cells
+from seplines.solvers import cell_groups, grid_columns
 
 GP_CHECK = 40  # largest set whose general position the reference recomputes
 
@@ -211,13 +211,15 @@ def test_clear_denominators_reduces_mixed_unreduced_input():
     assert clear_denominators([], [], [], []) == ([], [], 1)
 
 
-def ref_grid_cells(P, N):
-    """(points on a grid line, cells of >= 2 points in sorted cell order)
-    by the grid separator's rule, in Fractions."""
+def ref_grid_cells(P, N, lower):
+    """(points on an inner grid line, cells of >= 2 points in sorted cell
+    order), in Fractions. A coordinate on an inner grid line goes to the
+    lower cell under the grid separator's rule (``lower``) and to the
+    upper one under the column rule min(floor(v * N), N - 1)."""
     def coord(v):
         c = math.floor(v * N)
         if v * N == c and 0 < c < N:
-            return c - 1, True
+            return c - lower, True
         return min(c, N - 1), False
 
     cells, flagged = {}, 0
@@ -237,10 +239,14 @@ def test_grid_binning_matches_fraction_rule(seed):
     ]
     pts = list(dict.fromkeys(Point(rng.choice(vals), rng.choice(vals)) for _ in range(150)))
     small = PointSet(pts)
-    # One point with denominator 2^70 makes D*N pass 63 bits: the loop path.
+    # One point with denominator 2^70 makes D*N pass 63 bits: Python ints.
     huge = PointSet(pts + [Point(Fraction(1, 2 ** 70), Fraction(3, 2 ** 70))])
-    for N in (1, 2, 3, 6, 7, 12):
-        assert _grid_cells(small, N) == ref_grid_cells(small, N)
-        assert _grid_cells(huge, N) == ref_grid_cells(huge, N)
-    assert small.int_arrays is not None and small.int_coords()[2] * 12 < 2 ** 63
+    for P in (small, huge):
+        xs, ys, d = P.int_coords()
+        for N in (1, 2, 3, 6, 7, 12):
+            (cx, fx), (cy, fy) = grid_columns(xs, d, N), grid_columns(ys, d, N)
+            flagged = np.count_nonzero(fx | fy)
+            assert (flagged, cell_groups(cx - fx, cy - fy)) == ref_grid_cells(P, N, True)
+            assert (flagged, cell_groups(cx, cy)) == ref_grid_cells(P, N, False)
+    assert small.int_coords()[2] * 12 < 2 ** 63
     assert huge.int_coords()[2] >= 2 ** 63

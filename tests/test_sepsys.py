@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from seplines.geom import CanonicalLine, Point, line_through, pt, side
+from seplines.geom import CanonicalLine, Point, line_through, orient, pt, side
 from seplines.sepsys import (
     GeneralPositionError,
     PointSet,
@@ -16,7 +16,9 @@ from seplines.sepsys import (
     properize,
 )
 
-from .conftest import grid_lines, perturbed_grid, rand_general_position_points
+from .conftest import (
+    grid_lines, perturbed_grid, rand_general_position_points, with_collinear_triple,
+)
 
 
 SQUARE = PointSet([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
@@ -41,6 +43,25 @@ def test_general_position_detection():
     assert not PointSet([pt(0, 0), pt(1, 1), pt(2, 2)]).general_position
     assert PointSet([pt(0, 0), pt(1, 1)]).general_position
     assert rand_general_position_points(8, seed=5).general_position
+
+
+def test_general_position_matches_orientation_on_small_grids():
+    # Points of a 4 x 4 grid in random order: directions of every sign, and
+    # later points on both sides of an earlier one.
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        k = int(rng.integers(3, 7))
+        cells = rng.choice(16, size=k, replace=False)
+        P = PointSet([pt(int(c) % 4, int(c) // 4 - 1) for c in cells])
+        collinear = any(orient(*t) == 0 for t in combinations(P.points, 3))
+        assert P.general_position == (not collinear)
+    assert not PointSet([pt(0, 1), pt(0, 0), pt(0, 2)]).general_position
+    assert not PointSet([pt(1, 1), pt(2, 0), pt(0, 2)]).general_position
+
+
+@pytest.mark.parametrize("n,i,j", [(513, 171, 342), (600, 597, 598)])
+def test_general_position_checked_past_512_points(n, i, j):
+    assert not with_collinear_triple(n, n, i, j).general_position
 
 
 def test_pairs_enumeration():
