@@ -10,12 +10,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .geom import CanonicalLine, Point, int_line_through, side, sign
+from .geom import CanonicalLine, Point, side, sign
 
 PairId = Tuple[int, int]
 
@@ -29,18 +29,26 @@ _FLOAT_EXP = 400
 
 
 def float_array(values: Sequence) -> np.ndarray:
-    """Float64 copies of exact ints or Fractions for the kernels. A value
-    whose magnitude lies outside 2^-_FLOAT_EXP..2^_FLOAT_EXP becomes NaN,
-    which makes every kernel entry that uses it uncertain, so callers
-    settle those entries exactly."""
+    """Float64 copies of exact ints or Fractions for the kernels, given as
+    a sequence or as an int64 or object array of ints. A value whose
+    magnitude lies outside 2^-_FLOAT_EXP..2^_FLOAT_EXP becomes NaN, which
+    makes every kernel entry that uses it uncertain, so callers settle
+    those entries exactly."""
 
     def conv(v) -> float:
         e = v.numerator.bit_length() - v.denominator.bit_length()
         return float(v) if not v or -_FLOAT_EXP < e < _FLOAT_EXP else math.nan
 
-    if all(type(v) is int for v in values):
+    if isinstance(values, np.ndarray):
+        if values.dtype == object and len(values):
+            top = max(values.max(), -values.min())
+        else:
+            top = 0  # int64 or empty
+        if top.bit_length() <= _FLOAT_EXP:
+            return values.astype(np.float64)  # numpy rounds ints as float() does
+    elif all(type(v) is int for v in values):
         if max(map(abs, values), default=0).bit_length() <= _FLOAT_EXP:
-            return np.array(values, dtype=np.float64)  # numpy rounds ints as float() does
+            return np.array(values, dtype=np.float64)
     return np.array([conv(v) for v in values], dtype=np.float64)
 
 
@@ -216,48 +224,146 @@ class PointSet:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+# Pairs per block of `candidate_lines`: bounds its Python-int temporaries.
+_PAIR_BLOCK = 1 << 16
+
+
+def _line_coeffs(P: PointSet, I: np.ndarray, J: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Canonical coefficients (a, b, c) of the lines through points I[k]
+    and J[k] of P, the same as int_line_through, in int64 arrays when
+    every value fits and in object arrays of Python ints otherwise.
+
+    With (p, q) = (Y_j - Y_i, X_i - X_j) / h, h = gcd(p, q) signed so that
+    p > 0 or p = 0 < q, and c = -(p*X_i + q*Y_i), the line is
+    (p*D, q*D, c) / g with g = gcd(D, c): gcd(p, q) = 1, so g is the gcd
+    of all three."""
+    xs, ys, d = P.int_coords()
+    arrs = P.int_arrays
+    if arrs is None:
+        X, Y = np.array(xs, dtype=object), np.array(ys, dtype=object)
+    else:
+        X, Y, xmax, ymax = arrs
+    xi, yi = X[I], Y[I]
+    p, q = Y[J] - yi, xi - X[J]
+    h = np.gcd(p, q)
+    h[(p < 0) | ((p == 0) & (q < 0))] *= -1
+    p, q = p // h, q // h
+    M = 0 if arrs is None else max(xmax, ymax)
+    if arrs is None or 4 * M * M >= 2 ** 63 or 2 * M * d >= 2 ** 63:
+        p, q, xi, yi = (v.astype(object) for v in (p, q, xi, yi))
+    c = -(p * xi + q * yi)
+    g = np.gcd(c, d)
+    e = d // g
+    return p * e, q * e, c // g
+
+
 @dataclass
 class CandidateLines:
-    """Deduplicated canonical lines through all point pairs, with the
-    point pairs incident to each line. In general position there are
-    C(n,2) lines, one incident pair each."""
+    """The distinct lines through pairs of points of P, as index arrays.
 
-    lines: List[CanonicalLine]
-    incident_pairs: List[List[PairId]]
-    _coeff_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, repr=False
-    )
+    Line k is the line through its first incident pair (I[k], J[k]), and
+    the lines are numbered in the order of those pairs. A, B and C are the
+    float_array columns of their canonical coefficients, for the kernels;
+    ``coeffs`` recomputes exact ones and ``lines`` builds CanonicalLine
+    objects, each only for the lines asked for. ``groups`` holds the
+    incident pairs, in pair order, of each line through three or more
+    points; every other line has one. In general position there are
+    C(n,2) lines and no groups."""
+
+    P: PointSet
+    I: np.ndarray
+    J: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    groups: Dict[int, List[PairId]] = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.lines)
+        return len(self.I)
 
-    def coeff_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float64 (a, b, c) arrays for the kernels."""
-        if self._coeff_arrays is None:
-            self._coeff_arrays = tuple(
-                float_array([getattr(l, k) for l in self.lines]) for k in "abc"
-            )
-        return self._coeff_arrays
+    def coeffs(self, idx: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
+        """Exact canonical (a, b, c) of the lines ``idx``, as Python ints."""
+        return tuple(v.tolist() for v in _line_coeffs(self.P, self.I[idx], self.J[idx]))
+
+    def lines(self, idx: Optional[np.ndarray] = None) -> List[CanonicalLine]:
+        """The lines ``idx`` (default: all) as CanonicalLine objects."""
+        idx = np.arange(len(self)) if idx is None else np.asarray(idx, dtype=np.int64)
+        return [CanonicalLine(*abc) for abc in zip(*self.coeffs(idx))]
+
+    def incident_pairs(self, k: int) -> List[PairId]:
+        """The point pairs on line k, in pair order."""
+        return self.groups.get(k) or [(int(self.I[k]), int(self.J[k]))]
+
+    def coeff_order(self) -> np.ndarray:
+        """The line indices in canonical-coefficient order.
+
+        Rounding to float never reverses an order, so a lexsort of the
+        float columns is exact except inside runs of equal floats that can
+        stand for distinct integers: magnitudes of 2^53 and more, and NaN
+        (out of float_array's range), which first becomes -inf or +inf by
+        the exact sign. Those runs are sorted by exact coefficients."""
+        keys = []
+        for col, V in enumerate((self.A, self.B, self.C)):
+            nan = np.flatnonzero(np.isnan(V))
+            if len(nan):
+                V = V.copy()
+                V[nan] = np.where(np.array(self.coeffs(nan)[col]) > 0, np.inf, -np.inf)
+            keys.append(V)
+        order = np.lexsort(keys[::-1])
+        tied = np.ones(max(len(order) - 1, 0), dtype=bool)
+        unsure = np.zeros_like(tied)  # positions p, p + 1 may be out of order
+        for V in keys:
+            s = V[order]
+            tied &= s[1:] == s[:-1]
+            unsure |= tied & ~(np.abs(s[1:]) < 2.0 ** 53)
+        edges = np.diff(np.r_[0, unsure.view(np.int8), 0])
+        for lo, hi in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1):
+            run = order[lo:hi]
+            abc = list(zip(*self.coeffs(run)))
+            order[lo:hi] = run[sorted(range(len(run)), key=abc.__getitem__)]
+        return order
 
 
 def candidate_lines(P: PointSet) -> CandidateLines:
-    """All canonical lines through pairs of P, deduplicated, with
-    incidence lists."""
+    """All distinct lines through pairs of P, numbered in the order of
+    their first pair (i, j), i < j, lexicographic.
+
+    The exact coefficients of all pairs are computed in numpy, a block of
+    pairs at a time, and kept only as float columns. Equal lines have
+    equal floats, so only pairs whose three floats tie with another
+    pair's are compared exactly, and grouped."""
     n = len(P)
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
-    xs, ys, d = P.int_coords()
-    by_line: Dict[Tuple[int, int, int], List[PairId]] = {}
-    for i in range(n):
-        xi, yi = xs[i], ys[i]
-        for j in range(i + 1, n):
-            by_line.setdefault(int_line_through(xi, yi, xs[j], ys[j], d), []).append((i, j))
-    lines = []
-    incident = []
-    for coeffs, prs in by_line.items():
-        lines.append(CanonicalLine(*coeffs))
-        incident.append(prs)
-    return CandidateLines(lines=lines, incident_pairs=incident)
+    I, J = np.triu_indices(n, 1)
+    cols = [[], [], []]
+    for lo in range(0, len(I), _PAIR_BLOCK):
+        blk = slice(lo, lo + _PAIR_BLOCK)
+        for col, v in zip(cols, _line_coeffs(P, I[blk], J[blk])):
+            col.append(float_array(v))
+    A, B, C = (np.concatenate(col) for col in cols)
+    order = np.lexsort((C, B, A))
+    tied = np.ones(len(order) - 1, dtype=bool)
+    for V in (A, B, C):
+        s = V[order]
+        tied &= (s[1:] == s[:-1]) | (np.isnan(s[1:]) & np.isnan(s[:-1]))
+    if not tied.any():
+        return CandidateLines(P, I, J, A, B, C)
+    suspects = np.unique(np.r_[order[:-1][tied], order[1:][tied]])
+    by_line: Dict[Tuple[int, int, int], List[int]] = {}
+    exact = zip(*(v.tolist() for v in _line_coeffs(P, I[suspects], J[suspects])))
+    for k, abc in zip(suspects.tolist(), exact):
+        by_line.setdefault(abc, []).append(k)
+    shared = [ks for ks in by_line.values() if len(ks) > 1]
+    keep = np.ones(len(I), dtype=bool)
+    for ks in shared:
+        keep[ks[1:]] = False
+    first = np.flatnonzero(keep)
+    groups = {
+        int(k): [(int(I[q]), int(J[q])) for q in ks]
+        for k, ks in zip(np.searchsorted(first, [ks[0] for ks in shared]), shared)
+    }
+    return CandidateLines(P, I[first], J[first], A[first], B[first], C[first], groups)
 
 
 def hits(line: CanonicalLine, P: PointSet, pair: PairId, mode: SeparationMode) -> bool:
@@ -274,10 +380,6 @@ def hits(line: CanonicalLine, P: PointSet, pair: PairId, mode: SeparationMode) -
     return sp != sq
 
 
-def _exact_side_int(line: CanonicalLine, x: int, y: int, d: int) -> int:
-    return sign(line.a * x + line.b * y + line.c * d)
-
-
 def line_signs(
     P: PointSet, lines: Sequence[CanonicalLine], idx: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -289,22 +391,25 @@ def line_signs(
         xf, yf = xf[idx], yf[idx]
     abc = float_array([v for l in lines for v in (l.a, l.b, l.c)])
     signs, unc = _kernels.eval_signs(abc[0::3], abc[1::3], abc[2::3], xf, yf)
-    return settle(P, lines, signs, unc, idx)
+    return settle(P, lambda cols: zip(*(lines[j].coeffs() for j in cols)), signs, unc, idx)
 
 
 def settle(
-    P: PointSet, lines: Sequence[CanonicalLine], signs: np.ndarray, unc: np.ndarray,
-    idx: Optional[np.ndarray] = None,
+    P: PointSet, coeffs: Callable[[np.ndarray], Tuple[Sequence[int], ...]],
+    signs: np.ndarray, unc: np.ndarray, idx: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Set the entries of a kernel sign block (points ``idx``, default
-    all, by ``lines``) that ``unc`` flags to their exact signs, computed
-    in integers."""
+    all, by lines) that ``unc`` flags to their exact signs, computed in
+    integers. ``coeffs(cols)`` gives the exact (a, b, c) of the lines of
+    the columns ``cols``, as three sequences of Python ints."""
     if unc.any():
         ui, uj = np.nonzero(unc)
+        cols, at = np.unique(uj, return_inverse=True)
+        a, b, c = coeffs(cols)
         xs, ys, d = P.int_coords()
         pts = (ui if idx is None else idx[ui]).tolist()
         signs[ui, uj] = [
-            _exact_side_int(lines[j], xs[i], ys[i], d) for i, j in zip(pts, uj.tolist())
+            sign(a[k] * xs[i] + b[k] * ys[i] + c[k] * d) for i, k in zip(pts, at.tolist())
         ]
     return signs
 

@@ -103,6 +103,7 @@ class WeightState:
     All weights carry an implicit factor 2^rescale_exponent; probabilities
     are weight ratios so rescaling never changes them. The incremental
     total is re-validated against a full resummation every 64 doublings.
+    A ``mask`` argument selects lines: a boolean mask or an index array.
     """
 
     RESCALE_LIMIT = 2.0 ** 512
@@ -235,30 +236,6 @@ def sigma_lower_bound(n: int, mode: SeparationMode) -> int:
     return t
 
 
-def _max_class_size(n: int, pairs: List[PairId], covered: int) -> int:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    uncovered = ~covered & ((1 << len(pairs)) - 1)
-    while uncovered:
-        low = uncovered & -uncovered
-        uncovered ^= low
-        i, j = pairs[low.bit_length() - 1]
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    sizes: Dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return max(sizes.values())
-
-
 def exact_separability(
     P: PointSet, mode: SeparationMode = SeparationMode.STRICT
 ) -> Tuple[int, List[CanonicalLine]]:
@@ -271,8 +248,12 @@ def exact_separability(
     if n > EXACT_SIZE_CAP:
         raise SizeCapError(f"exact solver capped at {EXACT_SIZE_CAP} points, got {n}")
     entries, n_pairs = _exact_pool(P, mode)
-    pairs = P.pairs()
     full = (1 << n_pairs) - 1
+    # Bit k of inc[i] is set iff point i is in pair k.
+    inc = [0] * n
+    for k, (i, j) in enumerate(P.pairs()):
+        inc[i] |= 1 << k
+        inc[j] |= 1 << k
     masks = [e[1] for e in entries]
     # Per-pair covering entries and entry-set bitmasks.
     cover: List[List[int]] = [[] for _ in range(n_pairs)]
@@ -294,7 +275,7 @@ def exact_separability(
     covered = 0
     while covered != full:
         best = max(
-            range(len(masks)), key=lambda ei: (bin(masks[ei] & ~covered).count("1"), -ei)
+            range(len(masks)), key=lambda ei: ((masks[ei] & ~covered).bit_count(), -ei)
         )
         if masks[best] & ~covered == 0:
             raise SolverError("greedy upper bound stalled (internal bug)")
@@ -323,20 +304,20 @@ def exact_separability(
             return False
         if memo.get(covered, -1) >= budget:
             return False
+        open_ = ~covered
+        # In general position the points not yet separated from each
+        # other fall into classes, and a point's class is itself plus
+        # the partners of its open pairs. On degenerate input this is at
+        # most the size of the point's connected component.
+        if 1 + max((row & open_).bit_count() for row in inc) > _capacity(budget, mode):
+            memo[covered] = budget
+            return False
         if disjoint_lb(covered) > budget:
             memo[covered] = budget
             return False
-        if _max_class_size(n, pairs, covered) > _capacity(budget, mode):
-            memo[covered] = budget
-            return False
-        # Branch on the uncovered pair with the fewest covering entries.
-        target = min(
-            (k for k in range(n_pairs) if not covered >> k & 1),
-            key=lambda k: len(cover[k]),
-        )
-        options = sorted(
-            cover[target], key=lambda ei: -bin(masks[ei] & ~covered).count("1")
-        )
+        # Branch on the open pair with the fewest covering entries.
+        target = next(k for k in pair_order if open_ >> k & 1)
+        options = sorted(cover[target], key=lambda ei: -(masks[ei] & open_).bit_count())
         for ei in options:
             chosen.append(ei)
             if dfs(covered | masks[ei], budget - 1):
@@ -392,38 +373,46 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         return [line]
     cand = candidate_lines(P)
     strict = mode is SeparationMode.STRICT
-    # Lines in tie order (canonical coefficients). An entry's id is its
-    # tie rank: entry l is line l in relaxed mode; in strict mode entry e
-    # is variant e % 4 of pair e // 4, with the pairs of a line in order.
-    rank = sorted(range(len(cand)), key=lambda li: cand.lines[li].coeffs())
-    lines = np.empty(len(rank), dtype=object)
-    lines[:] = [cand.lines[li] for li in rank]
-    per_line = np.array([len(cand.incident_pairs[li]) for li in rank])
-    pair_line = np.repeat(np.arange(len(lines)), per_line)
-    pairs = np.array([pr for li in rank for pr in cand.incident_pairs[li]], dtype=np.int64)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0], pair_line))]
+    # Lines in tie order (canonical coefficients): line l is candidate
+    # rank[l]. An entry's id is its tie rank: entry l is line l in relaxed
+    # mode; in strict mode entry e is variant e % 4 of pair e // 4, with
+    # the pairs of a line in order.
+    rank = cand.coeff_order()
+    m = len(rank)
+    tie = np.empty(m, dtype=np.int64)
+    tie[rank] = np.arange(m)
+    pair_line, pairs = tie, np.stack([cand.I, cand.J], axis=1)
+    if cand.groups:
+        more = np.array(
+            [(k, i, j) for k, prs in cand.groups.items() for i, j in prs[1:]], dtype=np.int64
+        )
+        pair_line = np.concatenate([pair_line, tie[more[:, 0]]])
+        pairs = np.concatenate([pairs, more[:, 1:]])
+    srt = np.lexsort((pairs[:, 1], pairs[:, 0], pair_line))
+    pair_line, pairs = pair_line[srt], pairs[srt]
+    per_line = np.bincount(pair_line, minlength=m)
     # The points each line was built through lie on it exactly:
     # on_pt[on_ptr[l]:on_ptr[l + 1]], in index order.
     inc = np.unique(np.concatenate([pair_line * n + pairs[:, 0], pair_line * n + pairs[:, 1]]))
     on_line, on_pt = np.divmod(inc, n)
-    on_ptr = np.searchsorted(on_line, np.arange(len(lines) + 1))
+    on_ptr = np.searchsorted(on_line, np.arange(m + 1))
     if strict:
         # on_t orders the points of a line along it, so that the midpoint
         # of two of them has the mean of their values: positions 0, 1 on a
         # two-point line, exact projections on a line through three or more.
         on_t = np.arange(len(inc)) - on_ptr[on_line]
-        crowded = np.nonzero(np.diff(on_ptr) > 2)[0].tolist()
-        if crowded:
+        crowded = np.nonzero(np.diff(on_ptr) > 2)[0]
+        if len(crowded):
             xs, ys, _ = P.int_coords()
             t = on_t.tolist()
-            for l in crowded:
+            for l, a, b in zip(crowded.tolist(), *cand.coeffs(rank[crowded])[:2]):
                 for q in range(on_ptr[l], on_ptr[l + 1]):
-                    t[q] = lines[l].a * ys[on_pt[q]] - lines[l].b * xs[on_pt[q]]
+                    t[q] = a * ys[on_pt[q]] - b * xs[on_pt[q]]
             on_t = np.array(t, dtype=object if max(map(abs, t)) >= 2 ** 61 else np.int64)
         pair_t = on_t[np.searchsorted(inc, pair_line[:, None] * n + pairs)]
         sides = np.array(_STRICT_VARIANTS, dtype=np.int8)
 
-    A, B, C = (v[rank] for v in cand.coeff_arrays())
+    A, B, C = cand.A[rank], cand.B[rank], cand.C[rank]
     xf, yf = P.float_coords()
     pid = np.arange(n)  # live points, ascending
     row_of = np.arange(n)  # point -> row among the live points, or -1
@@ -437,7 +426,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         at, row = at[row >= 0], row[row >= 0]
         S[row, at] = 0
         unc[row, at] = False
-        return settle(P, lines[ls], S, unc, pid)
+        return settle(P, lambda cols: cand.coeffs(rank[ls[cols]]), S, unc, pid)
 
     def entry_block(blk: np.ndarray) -> np.ndarray:
         if not strict:
@@ -501,7 +490,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
             i, j = pairs[win // 4].tolist()
             out.append(realize_variant(P, i, j, *_STRICT_VARIANTS[win % 4]))
         else:
-            out.append(lines[win])
+            out.append(cand.lines(rank[[win]])[0])
         cls, (pid,) = _split(cls, win_signs > 0, win_signs >= 0, 2, SeparationMode.RELAXED, pid)
         row_of = np.full(n, -1)
         row_of[pid] = np.arange(len(pid))
@@ -513,13 +502,18 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
 # reweighting approximation
 
 
-def _pair_hit_mask(P: PointSet, cand: CandidateLines, pair: PairId) -> np.ndarray:
-    """Boolean mask over candidate lines that relaxed-hit the pair, exact."""
+def _pair_hits(P: PointSet, cand: CandidateLines, pair: PairId) -> np.ndarray:
+    """The candidate lines that relaxed-hit the pair, ascending, exact."""
     idx = np.array(pair)
-    A, B, C = cand.coeff_arrays()
     xf, yf = P.float_coords()
-    s = settle(P, cand.lines, *_kernels.eval_signs(A, B, C, xf[idx], yf[idx]), idx)
-    return s[0] != s[1]
+    S, unc = _kernels.eval_signs(cand.A, cand.B, cand.C, xf[idx], yf[idx])
+    # A line passes exactly through the points of its first pair.
+    for r, i in enumerate(pair):
+        on = np.r_[np.flatnonzero(cand.I == i), np.flatnonzero(cand.J == i)]
+        S[r, on] = 0
+        unc[r, on] = False
+    S = settle(P, cand.coeffs, S, unc, idx)
+    return np.flatnonzero(S[0] != S[1])
 
 
 def _prune_redundant(P: PointSet, lines: List[CanonicalLine]) -> List[CanonicalLine]:
@@ -555,7 +549,9 @@ def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
     total_rounds = 0
     doublings = 0
     history: List[Tuple[int, int, bool]] = []
-    pair_masks: Dict[PairId, np.ndarray] = {}
+    # The lines hitting each pair seen so far: an index array, a few
+    # percent of the candidates, rather than a mask over all of them.
+    pair_hits: Dict[PairId, np.ndarray] = {}
     while k <= n:
         ws = WeightState(m)
         eps = 1.0 / (4 * k)
@@ -564,7 +560,7 @@ def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
         for r in range(1, round_cap + 1):
             total_rounds += 1
             idx = np.unique(ws.sample(rng, sample_size))
-            R = [cand.lines[i] for i in idx.tolist()]
+            R = cand.lines(idx)
             pair = find_unseparated_pair(P, R, SeparationMode.RELAXED)
             if pair is None:
                 history.append((k, r, True))
@@ -579,12 +575,11 @@ def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
                     guess_history=history,
                     weight_doublings=doublings,
                 )
-            mask = pair_masks.get(pair)
-            if mask is None:
-                mask = _pair_hit_mask(P, cand, pair)
-                pair_masks[pair] = mask
-            if ws.masked_weight(mask) <= eps * ws.total_weight:
-                ws.double(mask)
+            hit = pair_hits.get(pair)
+            if hit is None:
+                hit = pair_hits[pair] = _pair_hits(P, cand, pair)
+            if ws.masked_weight(hit) <= eps * ws.total_weight:
+                ws.double(hit)
                 doublings += 1
         history.append((k, round_cap, False))
         k *= 2

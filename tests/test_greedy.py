@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from seplines import solvers
-from seplines.geom import Point, sign
+from seplines.geom import CanonicalLine, Point, int_line_through, sign
 from seplines.sepsys import (
     GeneralPositionError,
     PointSet,
@@ -29,24 +29,28 @@ STRICT, RELAXED = SeparationMode.STRICT, SeparationMode.RELAXED
 
 
 def reference_greedy(P, mode):
-    """Greedy over realized entries, in tie order: candidate lines by
-    canonical coefficients (relaxed), and per line its pairs and the four
-    variants of each (strict)."""
+    """Greedy over realized entries, in tie order: the lines through point
+    pairs by canonical coefficients (relaxed), and per line its pairs and
+    the four variants of each (strict). The lines come from its own
+    pair loop, not from `candidate_lines`."""
     n = len(P)
     if n == 2:
         return [realize_variant(P, 0, 1, -1, 1)]
-    cand = candidate_lines(P)
-    by_coeffs = sorted(zip(cand.lines, cand.incident_pairs), key=lambda t: t[0].coeffs())
+    xs, ys, d = P.int_coords()
+    by_line = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            by_line.setdefault(int_line_through(xs[i], ys[i], xs[j], ys[j], d), []).append((i, j))
+    by_coeffs = sorted(by_line.items())
     if mode is STRICT:
         entries = [
             realize_variant(P, i, j, su, sv)
             for _, prs in by_coeffs
-            for i, j in sorted(prs)
+            for i, j in prs
             for su, sv in _STRICT_VARIANTS
         ]
     else:
-        entries = [line for line, _ in by_coeffs]
-    xs, ys, d = P.int_coords()
+        entries = [CanonicalLine(*abc) for abc, _ in by_coeffs]
     rows = np.array(
         [[sign(l.a * x + l.b * y + l.c * d) for x, y in zip(xs, ys)] for l in entries],
         dtype=np.int8,

@@ -259,7 +259,7 @@ def test_prune_matches_verify_loop_reference(name):
 
 def test_prune_matches_reference_on_larger_general_position():
     P = rand_general_position_points(40, seed=12)
-    for lines in _separating_lists(P, candidate_lines(P).lines, seed=13, count=3):
+    for lines in _separating_lists(P, candidate_lines(P).lines(), seed=13, count=3):
         assert _prune_redundant(P, lines) == ref_prune_redundant(P, lines, RELAXED)
 
 

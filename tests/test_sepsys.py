@@ -70,13 +70,13 @@ def test_pairs_enumeration():
 
 def test_candidate_lines_counts():
     cand = candidate_lines(SQUARE)
-    assert len(cand.lines) == 6
-    assert all(len(ps) == 1 for ps in cand.incident_pairs)
+    assert len(cand) == 6
+    assert all(len(cand.incident_pairs(k)) == 1 for k in range(len(cand)))
     # collinear triple: one shared line for its three pairs
     P = PointSet([pt(0, 0), pt(1, 1), pt(2, 2), pt(5, 0)])
     cand = candidate_lines(P)
-    assert len(cand.lines) == 4  # diagonal + three lines to (5,0)
-    by_line = {l.coeffs(): ps for l, ps in zip(cand.lines, cand.incident_pairs)}
+    assert len(cand) == 4  # diagonal + three lines to (5,0)
+    by_line = {l.coeffs(): cand.incident_pairs(k) for k, l in enumerate(cand.lines())}
     diag = line_through(pt(0, 0), pt(1, 1)).coeffs()
     assert sorted(by_line[diag]) == [(0, 1), (0, 2), (1, 2)]
 
@@ -84,8 +84,8 @@ def test_candidate_lines_counts():
 def test_candidate_lines_pass_through_their_pairs():
     P = rand_general_position_points(7, seed=2)
     cand = candidate_lines(P)
-    for line, pairs in zip(cand.lines, cand.incident_pairs):
-        for (i, j) in pairs:
+    for k, line in enumerate(cand.lines()):
+        for (i, j) in cand.incident_pairs(k):
             assert line.eval_at(P[i]) == 0
             assert line.eval_at(P[j]) == 0
 
@@ -159,7 +159,7 @@ def test_properize_random_roundtrip():
         P = rand_general_position_points(7, seed=100 + seed)
         cand = candidate_lines(P)
         # relaxed-separating subset: all candidate lines always works
-        relaxed = cand.lines
+        relaxed = cand.lines()
         assert find_unseparated_pair(P, relaxed, SeparationMode.RELAXED) is None
         strict = properize(relaxed, P)
         assert find_unseparated_pair(P, strict, SeparationMode.STRICT) is None
