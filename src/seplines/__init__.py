@@ -8,18 +8,11 @@ needed to strictly separate every pair of points.
 from .geom import (
     CanonicalLine,
     DegeneratePairError,
-    DualLine,
     Point,
-    SegmentCrossing,
-    VerticalLineError,
-    dualize_dual,
-    dualize_line,
-    dualize_point,
     intersect_lines,
     line_through,
     orient,
     pt,
-    segment_crossing,
     side,
 )
 from .sepsys import (
@@ -32,7 +25,6 @@ from .sepsys import (
     TooFewPointsError,
     candidate_lines,
     find_unseparated_pair,
-    hits,
     properize,
 )
 from .solvers import (
@@ -56,38 +48,30 @@ __all__ = [
     "CanonicalLine",
     "CandidateLines",
     "DegeneratePairError",
-    "DualLine",
     "GeneralPositionError",
     "Point",
     "PointSet",
     "PreconditionError",
     "PropernessError",
-    "SegmentCrossing",
     "SeparationMode",
     "SizeCapError",
     "SolveResult",
     "SolverError",
     "TooFewPointsError",
     "VerificationError",
-    "VerticalLineError",
     "WeightState",
     "candidate_lines",
-    "dualize_dual",
-    "dualize_line",
-    "dualize_point",
     "exact_separability",
     "find_unseparated_pair",
     "greedy_hitting_set",
     "grid_separator",
     "halving_separator",
-    "hits",
     "intersect_lines",
     "line_through",
     "orient",
     "properize",
     "pt",
     "reweight_approx",
-    "segment_crossing",
     "side",
     "solve",
     "verify",

@@ -89,7 +89,7 @@ def parse_point_file(path: str) -> PointSet:
                 xd.append(qx)
                 yn.append(py)
                 yd.append(qy)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseFileError(f"cannot read {path}: {e}")
     try:
         return PointSet.from_ratios(xn, xd, yn, yd)
@@ -118,7 +118,7 @@ def parse_line_file(path: str) -> List[CanonicalLine]:
                     lines.append(CanonicalLine.from_ints(a, b, c))
                 except ValueError as e:
                     raise ParseFileError(f"{path}:{lineno}: invalid line: {e}")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseFileError(f"cannot read {path}: {e}")
     return lines
 

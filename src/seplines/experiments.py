@@ -1,6 +1,5 @@
 """Monte-Carlo harness: balls-into-bins statistics, random-point
-separability scaling, higher-dimensional grid separators, and t-relaxed
-separation.
+separability scaling, and t-relaxed separation.
 
 All functions are deterministic in (parameters, seed); per-trial rngs are
 derived as seed XOR splitmix64(trial index), so trials are independent and
@@ -447,117 +446,6 @@ def scaling_study(
         )
 
     return _study_table("scaling", n_list, trials, worker, threads)
-
-
-# ---------------------------------------------------------------------------
-# higher-dimensional grid separator (floating point)
-
-
-@dataclass
-class HyperPointSet:
-    dimension: int
-    coords: np.ndarray  # (n, d) float64 in [0, 1)
-
-    def __post_init__(self):
-        if not 2 <= self.dimension <= 5:
-            raise PreconditionError("dimension must be in {2,...,5}")
-        if self.coords.ndim != 2 or self.coords.shape[1] != self.dimension:
-            raise ValueError("coords must have shape (n, d)")
-
-    @staticmethod
-    def random(n: int, d: int, seed: int) -> "HyperPointSet":
-        rng = np.random.default_rng(seed)
-        return HyperPointSet(d, rng.random((n, d)))
-
-
-@dataclass
-class Hyperplane:
-    normal: np.ndarray
-    offset: float
-
-    def values(self, coords: np.ndarray) -> np.ndarray:
-        return coords @ self.normal - self.offset
-
-
-FLOAT_SIGN_TOL = 1e-12
-
-
-class HyperVerificationError(RuntimeError):
-    pass
-
-
-def _hyper_separates(coords: np.ndarray, planes: List[Hyperplane]) -> bool:
-    if len(coords) < 2:
-        return True
-    vals = np.stack([h.values(coords) for h in planes], axis=1)
-    if np.abs(vals).min() < FLOAT_SIGN_TOL:
-        raise HyperVerificationError("sign within tolerance of zero")
-    signs = vals > 0
-    _, counts = np.unique(signs, axis=0, return_counts=True)
-    return bool((counts == 1).all())
-
-
-def grid_separator_d(H: HyperPointSet, seed: int = 0) -> Tuple[List[Hyperplane], int]:
-    """Axis-aligned N^d grid with N = ceil(n^(2/(d+1))) plus perpendicular
-    bisectors for colliding pairs (cells with more points are split by
-    bisectors of successive pairings until sign vectors are distinct).
-    Verified in floating point with a 10^-12 sign tolerance; near-degenerate
-    instances are retried with a fresh perturbation."""
-    n, d = H.coords.shape
-    rng = np.random.default_rng(seed)
-    coords = H.coords.copy()
-    for attempt in range(8):
-        try:
-            planes = _grid_separator_d_once(coords, d, n)
-            if _hyper_separates(coords, planes):
-                return planes, len(planes)
-            raise HyperVerificationError("duplicate sign vectors")
-        except HyperVerificationError:
-            coords = np.clip(H.coords + rng.normal(0, 1e-9, H.coords.shape), 0.0, 1.0 - 1e-12)
-    raise HyperVerificationError("could not build a verified separator in 8 attempts")
-
-
-def _grid_separator_d_once(coords: np.ndarray, d: int, n: int) -> List[Hyperplane]:
-    N = math.ceil(n ** (2 / (d + 1)))
-    planes: List[Hyperplane] = []
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = 1.0
-        for i in range(1, N):
-            planes.append(Hyperplane(e.copy(), i / N))
-    cells: Dict[tuple, List[int]] = {}
-    idx = np.minimum((coords * N).astype(np.int64), N - 1)
-    for i, key in enumerate(map(tuple, idx)):
-        cells.setdefault(key, []).append(i)
-    for key in sorted(cells):
-        members = cells[key]
-        if len(members) < 2:
-            continue
-        sub = coords[members]
-        # Bisect successive pairings until all sign vectors differ.
-        local: List[Hyperplane] = []
-        for _ in range(4 * len(members)):
-            sig = (
-                np.stack([h.values(sub) for h in local], axis=1) > 0
-                if local
-                else np.zeros((len(members), 0), dtype=bool)
-            )
-            groups: Dict[bytes, List[int]] = {}
-            for i, row in enumerate(sig):
-                groups.setdefault(row.tobytes(), []).append(i)
-            clashes = [g for g in groups.values() if len(g) > 1]
-            if not clashes:
-                break
-            for g in clashes:
-                for a, b in zip(g[0::2], g[1::2]):
-                    p, q = sub[a], sub[b]
-                    normal = 2 * (q - p)
-                    offset = float(q @ q - p @ p)
-                    local.append(Hyperplane(normal, offset))
-        else:
-            raise HyperVerificationError("cell splitting did not converge")
-        planes.extend(local)
-    return planes
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Exact planar primitives: rational points, canonical integer lines,
-orientation/side predicates, point-line duality, segment crossing.
+orientation/side predicates and line intersection.
 
 All predicates are exact (arbitrary-precision integers / rationals).
 Hot batched evaluation lives in :mod:`seplines._kernels`; this module is
@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Tuple
 
 
 class DegeneratePairError(ValueError):
     """Raised when an operation needs two distinct points but got one."""
-
-
-class VerticalLineError(ValueError):
-    """Raised when dualizing a vertical line (b = 0), which has no dual point."""
 
 
 def sign(x) -> int:
@@ -44,9 +39,6 @@ class Point:
             object.__setattr__(self, "x", Fraction(self.x))
         if not isinstance(self.y, Fraction):
             object.__setattr__(self, "y", Fraction(self.y))
-
-    def as_floats(self) -> Tuple[float, float]:
-        return float(self.x), float(self.y)
 
     def __repr__(self):
         return f"Point({self.x}, {self.y})"
@@ -101,20 +93,6 @@ class CanonicalLine:
         return f"CanonicalLine({self.a}, {self.b}, {self.c})"
 
 
-@dataclass(frozen=True)
-class DualLine:
-    """Dual of a point under (a, b) <-> y = a*x - b."""
-
-    slope: Fraction
-    intercept: Fraction
-
-
-class SegmentCrossing(Enum):
-    STRICT_CROSS = "strict_cross"
-    TOUCHES_ENDPOINT = "touches_endpoint"
-    NO_CROSS = "no_cross"
-
-
 def orient(p: Point, q: Point, r: Point) -> int:
     """Sign of the determinant |q-p, r-p|: +1 counterclockwise, 0 collinear,
     -1 clockwise. Exact."""
@@ -156,43 +134,6 @@ def line_through(p: Point, q: Point) -> CanonicalLine:
 def side(line: CanonicalLine, p: Point) -> int:
     """Exact sign of a*x + b*y + c at p."""
     return sign(line.a * p.x + line.b * p.y + line.c)
-
-
-def dualize_point(p: Point) -> DualLine:
-    """Dual of the point (a, b) is the line y = a*x - b."""
-    return DualLine(slope=p.x, intercept=-p.y)
-
-
-def dualize_line(line: CanonicalLine) -> Point:
-    """Dual point of a non-vertical line; inverse of :func:`dualize_point`
-    in the sense that incidences are preserved."""
-    if line.b == 0:
-        raise VerticalLineError(f"vertical line {line} has no dual point")
-    # a*x + b*y + c = 0  <=>  y = (-a/b)*x + (-c/b), and y = A*x + B is the
-    # dual of the point (A, -B).
-    return Point(Fraction(-line.a, line.b), Fraction(line.c, line.b))
-
-
-def dualize_dual(d: DualLine) -> Point:
-    """Inverse of dualize_point (dualization is an involution)."""
-    return Point(d.slope, -d.intercept)
-
-
-def segment_crossing(line: CanonicalLine, p: Point, q: Point) -> SegmentCrossing:
-    """Classify how a line meets the segment pq.
-
-    STRICT_CROSS iff p and q are strictly on opposite sides;
-    TOUCHES_ENDPOINT iff at least one endpoint lies on the line;
-    NO_CROSS otherwise.
-    """
-    if p == q:
-        raise DegeneratePairError("segment_crossing needs distinct endpoints")
-    sp, sq = side(line, p), side(line, q)
-    if sp * sq == -1:
-        return SegmentCrossing.STRICT_CROSS
-    if sp == 0 or sq == 0:
-        return SegmentCrossing.TOUCHES_ENDPOINT
-    return SegmentCrossing.NO_CROSS
 
 
 def intersect_lines(l1: CanonicalLine, l2: CanonicalLine):

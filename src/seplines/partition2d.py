@@ -267,6 +267,8 @@ def build_partition(
     times; afterwards the best attempt is returned flagged non-conforming."""
     if r < 1:
         raise PreconditionError(f"r must be at least 1, got {r}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     try:
         rho = alpha * math.sqrt(r)
     except OverflowError:

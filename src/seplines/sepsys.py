@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .geom import CanonicalLine, Point, side, sign
+from .geom import CanonicalLine, Point, sign
 
 PairId = Tuple[int, int]
 
@@ -364,20 +364,6 @@ def candidate_lines(P: PointSet) -> CandidateLines:
         for k, ks in zip(np.searchsorted(first, [ks[0] for ks in shared]), shared)
     }
     return CandidateLines(P, I[first], J[first], A[first], B[first], C[first], groups)
-
-
-def hits(line: CanonicalLine, P: PointSet, pair: PairId, mode: SeparationMode) -> bool:
-    """Does the line separate the pair under the given mode?
-
-    Strict: strictly opposite sides. Relaxed: different side values, so a
-    pair with exactly one point on the line counts as separated, but a
-    pair with both points on the line does not.
-    """
-    i, j = pair
-    sp, sq = side(line, P[i]), side(line, P[j])
-    if mode is SeparationMode.STRICT:
-        return sp * sq == -1
-    return sp != sq
 
 
 def line_signs(

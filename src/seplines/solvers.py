@@ -200,7 +200,7 @@ def _exact_pool(P: PointSet, mode: SeparationMode):
     S = line_signs(P, pool)
     I, J = np.array(pairs).T
     hit = S[I] * S[J] == -1 if mode is SeparationMode.STRICT else S[I] != S[J]
-    # Bit k of a line's mask is set iff it hits pair k.
+    # Bit k of a line's mask is set iff it separates pair k.
     packed = np.ascontiguousarray(np.packbits(hit, axis=0, bitorder="little").T)
     masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
     # The first line in coefficient order of each distinct nonzero mask.
@@ -542,6 +542,8 @@ def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
     n = len(P)
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     cand = candidate_lines(P)
     m = len(cand)
     rng = np.random.default_rng(seed)

@@ -201,6 +201,24 @@ def test_unreadable_input_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_point_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"0 0\n1 \xff\n")
+    rc = main(["solve", "--input", str(f)])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"cannot read {f}: " in err and "Traceback" not in err
+
+
+def test_non_utf8_line_file_exits_2(square_file, tmp_path, capsys):
+    f = tmp_path / "bad.lines"
+    f.write_bytes(b"2 0 -1\n\xff\n")
+    rc = main(["verify", "--points", square_file, "--lines", str(f)])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"cannot read {f}: " in err and "Traceback" not in err
+
+
 def test_exact_cap_exits_3(tmp_path, capsys):
     f = tmp_path / "many.txt"
     f.write_text("".join(f"{i} {i * i}\n" for i in range(20)))
@@ -389,6 +407,33 @@ def test_strict_reweight_on_collinear_points_exits_3(tmp_path, capsys):
     assert main(argv) == EXIT_PRECONDITION
     err = capsys.readouterr().err
     assert err.startswith("precondition:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["strict", "relaxed"])
+def test_reweight_negative_seed_exits_3(square_file, capsys, mode):
+    rc = main(["solve", "--input", square_file, "--algo", "reweight", "--mode", mode,
+               "--seed", "-1"])
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("algo", ["greedy", "exact"])
+def test_seedless_algos_ignore_negative_seed(square_file, capsys, algo):
+    rc = main(["solve", "--input", square_file, "--algo", algo, "--seed", "-1"])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+
+
+def test_partition_negative_seed_exits_3(tmp_path, capsys):
+    pf, lf = _write_grid_instance(tmp_path)
+    out = tmp_path / "x.json"
+    rc = main(["partition", "--points", pf, "--lines", lf, "--r", "4", "--seed", "-1",
+               "--out", str(out)])
+    assert rc == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["-5", "nan", "inf", "0"])

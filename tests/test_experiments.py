@@ -238,38 +238,6 @@ def test_fit_exponent_recovers_powerlaw():
 
 
 # ---------------------------------------------------------------------------
-# higher dimensions
-
-
-def test_grid_separator_d_separates():
-    for d in (2, 3, 4, 5):
-        H = ex.HyperPointSet.random(200, d, seed=d)
-        planes, size = ex.grid_separator_d(H, seed=d)
-        assert size == len(planes)
-        assert ex._hyper_separates(H.coords, planes)
-
-
-def test_grid_separator_d_single_point():
-    H = ex.HyperPointSet.random(1, 3, seed=0)
-    planes, size = ex.grid_separator_d(H, seed=0)
-    assert size == len(planes)  # grid only, trivially separating
-
-
-def test_grid_separator_d_matches_2d_scale():
-    n = 300
-    H = ex.HyperPointSet.random(n, 2, seed=4)
-    _, size = ex.grid_separator_d(H, seed=4)
-    N = math.ceil(n ** (2 / 3))
-    # grid part is identical; bisector count fluctuates around C(n,2)/N^2
-    assert 2 * (N - 1) <= size <= 2 * (N - 1) + 200
-
-
-def test_hyper_point_set_validation():
-    with pytest.raises(ex.PreconditionError):
-        ex.HyperPointSet.random(10, 6, seed=0)
-
-
-# ---------------------------------------------------------------------------
 # t-relaxed
 
 

@@ -7,17 +7,11 @@ from seplines.geom import (
     CanonicalLine,
     DegeneratePairError,
     Point,
-    SegmentCrossing,
-    VerticalLineError,
     common_denominator,
-    dualize_dual,
-    dualize_line,
-    dualize_point,
     intersect_lines,
     line_through,
     orient,
     pt,
-    segment_crossing,
     side,
     sign,
 )
@@ -87,37 +81,6 @@ def test_side_matches_eval():
     assert side(l, pt(1, 0)) == 1
     assert side(l, pt(0, 1)) == -1
     assert side(l, pt(2, 2)) == 0
-
-
-def test_duality_roundtrip():
-    p = pt(Fraction(3, 7), Fraction(-2, 5))
-    assert dualize_dual(dualize_point(p)) == p
-    l = line_through(pt(0, 1), pt(1, 3))  # y = 2x + 1
-    assert dualize_line(l) == pt(2, -1)
-    with pytest.raises(VerticalLineError):
-        dualize_line(CanonicalLine.from_coeffs(1, 0, -2))
-
-
-def test_point_line_incidence_preserved_by_duality():
-    # p on l <=> dual(l) on dual(p)
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        p, q = rand_point(rng, 23), rand_point(rng, 23)
-        if p == q or p.x == q.x:
-            continue
-        l = line_through(p, q)
-        d = dualize_line(l)
-        dl = dualize_point(p)  # the line y = slope*x + intercept
-        assert d.y == dl.slope * d.x + dl.intercept
-
-
-def test_segment_crossing_cases():
-    l = CanonicalLine.from_coeffs(1, 0, 0)  # x = 0
-    assert segment_crossing(l, pt(-1, 0), pt(1, 0)) is SegmentCrossing.STRICT_CROSS
-    assert segment_crossing(l, pt(0, 0), pt(1, 0)) is SegmentCrossing.TOUCHES_ENDPOINT
-    assert segment_crossing(l, pt(1, 0), pt(2, 5)) is SegmentCrossing.NO_CROSS
-    with pytest.raises(DegeneratePairError):
-        segment_crossing(l, pt(1, 1), pt(1, 1))
 
 
 def test_intersect_lines():

@@ -21,7 +21,7 @@ from seplines.partition2d import (
     stabbing_stats,
     triangulate_face,
 )
-from seplines.sepsys import PointSet
+from seplines.sepsys import PointSet, PreconditionError
 
 from .conftest import grid_lines, perturbed_grid, rand_line
 
@@ -144,6 +144,12 @@ def test_build_partition_requires_separating_lines():
     P = perturbed_grid(4, seed=0)
     with pytest.raises(NotSeparatingError):
         build_partition(P, grid_lines(4)[:1], r=2, seed=0)
+
+
+def test_build_partition_negative_seed_is_precondition():
+    P = perturbed_grid(4, seed=0)
+    with pytest.raises(PreconditionError, match="seed must be non-negative"):
+        build_partition(P, grid_lines(4), r=2, seed=-1)
 
 
 def test_build_partition_conformance_and_conservation():

@@ -12,7 +12,6 @@ from seplines.sepsys import (
     TooFewPointsError,
     candidate_lines,
     find_unseparated_pair,
-    hits,
     properize,
 )
 
@@ -90,17 +89,19 @@ def test_candidate_lines_pass_through_their_pairs():
             assert line.eval_at(P[j]) == 0
 
 
-def test_hits_strict_vs_relaxed():
+def test_find_unseparated_pair_strict_vs_relaxed():
     P = PointSet([pt(0, 0), pt(2, 2), pt(1, 0)])
-    mid = CanonicalLine.from_coeffs(1, 1, -2)  # x + y = 2 through (2,0)... no: through (1,1) midpoint diag
-    assert hits(mid, P, (0, 1), SeparationMode.STRICT)
-    assert hits(mid, P, (0, 1), SeparationMode.RELAXED)
+    mid = CanonicalLine.from_coeffs(1, 1, -2)  # x + y = 2, bisects points 0 and 1
     on_line = line_through(pt(0, 0), pt(1, 0))  # y = 0 contains points 0 and 2
-    assert not hits(on_line, P, (0, 2), SeparationMode.STRICT)
-    assert not hits(on_line, P, (0, 2), SeparationMode.RELAXED)  # both on the line
-    # one endpoint on the line, other off: relaxed yes, strict no
-    assert hits(on_line, P, (0, 1), SeparationMode.RELAXED)
-    assert not hits(on_line, P, (0, 1), SeparationMode.STRICT)
+    # mid separates (0,1) and (1,2) in both modes, leaving (0,2).
+    for mode in SeparationMode:
+        assert find_unseparated_pair(P, [mid], mode) == (0, 2)
+    # One point of a pair on the line: separated in relaxed mode only.
+    assert find_unseparated_pair(P, [on_line], SeparationMode.STRICT) == (0, 1)
+    assert find_unseparated_pair(P, [on_line], SeparationMode.RELAXED) == (0, 2)
+    # Both points of a pair on the line: separated in neither mode.
+    for mode in SeparationMode:
+        assert find_unseparated_pair(P, [mid, on_line], mode) == (0, 2)
 
 
 def test_find_unseparated_pair_exact_small():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from seplines.geom import CanonicalLine, pt, side
-from seplines.sepsys import PointSet, SeparationMode, TooFewPointsError, properize
+from seplines.sepsys import (
+    PointSet, PreconditionError, SeparationMode, TooFewPointsError, properize,
+)
 from seplines.solvers import (
     EXACT_SIZE_CAP,
     SizeCapError,
@@ -160,6 +162,11 @@ def test_reweight_output_is_irredundant():
     assert not res.fell_back and verify(P, lines, RELAXED)
     for i in range(len(lines)):
         assert not verify(P, lines[:i] + lines[i + 1 :], RELAXED), i
+
+
+def test_reweight_negative_seed_is_precondition():
+    with pytest.raises(PreconditionError, match="seed must be non-negative"):
+        reweight_approx(SQUARE, seed=-1)
 
 
 def test_reweight_then_properize_gives_strict():

@@ -48,6 +48,14 @@ def test_detects_unused_and_honours_noqa():
     assert unused_imports(src) == [(1, "os")]
 
 
+def test_package_all_resolves():
+    # __all__ entries count as uses above, so one left behind after its
+    # import goes would pass there and break ``from seplines import *``.
+    import seplines
+
+    assert [n for n in seplines.__all__ if not hasattr(seplines, n)] == []
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
