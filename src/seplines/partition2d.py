@@ -13,7 +13,8 @@ import numpy as np
 
 from .geom import CanonicalLine, Point, line_through, orient, sign
 from .sepsys import (
-    PointSet, PreconditionError, SeparationMode, find_unseparated_pair, int_str, line_signs,
+    PointSet, PreconditionError, SeparationMode, find_unseparated_pair, int_str, key_groups,
+    line_signs, sign_keys,
 )
 
 ARRANGEMENT_LINE_CAP = 512
@@ -219,23 +220,24 @@ def _assign_points(
 ) -> Tuple[List[List[int]], int]:
     """First containing closed triangle in construction order (faces in
     order, each face's triangles contiguous); boundary ties counted.
-    Exact. Points are grouped by their sign vectors over the
-    arrangement's lines. A point off every line lies only in its own
-    face's closed triangles. A point on a sampled line goes to the first
-    face whose sign vector agrees with its nonzero entries: that face's
-    closure holds it and no earlier face's does. Only that one face's
-    triangles are tested."""
+    Exact. Face rows, then point rows (sign vectors over the arrangement's
+    lines) are grouped by their sign_keys; a group's first row names its
+    face. A point off every line lies only in its own face's closed
+    triangles. A point on a sampled line goes to the first face whose sign
+    vector agrees with its nonzero entries: that face's closure holds it
+    and no earlier face's does. Only that one face's triangles are tested."""
     starts = np.cumsum([0] + [len(ft) for ft in face_tris])
     F = np.array(arr.signs, dtype=np.int8)
-    face_of = {row.tobytes(): f for f, row in enumerate(F)}
-    rows, inv = np.unique(line_signs(P, arr.lines), axis=0, return_inverse=True)
+    S = line_signs(P, arr.lines)
+    first, inv = key_groups(sign_keys(np.concatenate([F, S])))
     tri_of = np.zeros(len(P), dtype=np.int64)
     ties = 0
-    for row, idx in zip(rows, _index_groups(inv.reshape(-1), len(rows))):
-        f = face_of.get(row.tobytes())
-        if f is None:  # on a sampled line
-            f = int(np.argmax(((F == row) | (row == 0)).all(axis=1)))
+    for f, idx in zip(first.tolist(), _index_groups(inv[len(F):], len(first))):
+        if f >= len(F):  # on a sampled line
+            f = int(np.argmax(((F == S[idx[0]]) | (S[idx[0]] == 0)).all(axis=1)))
         for t, (a, b, c) in enumerate(face_tris[f], start=starts[f]):
+            if not len(idx):
+                break
             # In the closed triangle: on each edge line, on the opposite
             # vertex's side or on the line.
             edges = [line_through(a, b), line_through(b, c), line_through(c, a)]
@@ -246,9 +248,7 @@ def _assign_points(
             tri_of[idx[inside]] = t
             ties += int(on[inside].any(axis=1).sum())
             idx = idx[~inside]
-            if not len(idx):
-                break
-        else:
+        if len(idx):
             raise RuntimeError("point not covered by any triangle")
     return [g.tolist() for g in _index_groups(tri_of, starts[-1])], ties
 
@@ -269,6 +269,8 @@ def build_partition(
         raise PreconditionError(f"r must be at least 1, got {r}")
     if seed < 0:
         raise PreconditionError(f"seed must be non-negative, got {seed}")
+    if not len(P):
+        raise PreconditionError("the point set is empty: a partition needs at least 1 point")
     try:
         rho = alpha * math.sqrt(r)
     except OverflowError:

@@ -422,13 +422,24 @@ def _family_slots(P: PointSet, pts: np.ndarray, direction: Tuple[int, int], fam)
     return np.searchsorted(T, keys, "left"), np.searchsorted(T, keys, "right")
 
 
+def sign_keys(S: np.ndarray) -> np.ndarray:
+    """Exact byte keys of the rows of a sign block: packed > 0, then < 0 bits."""
+    return np.concatenate([np.packbits(S > 0, 1), np.packbits(S < 0, 1)], axis=1)
+
+
+def key_groups(K: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of np.unique over the rows of K as void bytes."""
+    K = np.ascontiguousarray(K if K.shape[1] else np.zeros((len(K), 1), np.uint8))
+    return np.unique(K.view(f"V{K.shape[1]}").ravel(), return_index=True, return_inverse=True)[1:]
+
+
 def _split(cls, lo, hi, width, mode, *carry):
     """Refine the classes ``cls`` of the point copies by one family of
-    ``width - 1`` parallel lines with per-copy slots (lo, hi). Relaxed
-    mode keys a copy by its exact sign pattern (lo + hi); strict mode puts
-    a copy lying on a line into the cells on both sides of it. Classes of
-    one copy are dropped. Returns the new compact class labels and the
-    carried per-copy arrays, filtered alike."""
+    ``width - 1`` parallel lines with per-copy slots (lo, hi), by one integer
+    key per copy: relaxed, its class and exact sign pattern (lo + hi);
+    strict, a copy on a line joins the cells on both sides of it. Drops the
+    classes of one copy, all it does at width 1. Returns the new compact
+    class labels and the carried per-copy arrays, filtered alike."""
     if mode is SeparationMode.RELAXED:
         key = cls * (2 * width) + lo + hi
     else:
@@ -442,6 +453,17 @@ def _split(cls, lo, hi, width, mode, *carry):
     big = counts > 1
     keep = big[inv]
     return (np.cumsum(big) - 1)[inv[keep]], [a[keep] for a in carry]
+
+
+def _split_block(cls, signs, row, mode, *carry):
+    """_split by the lines of a sign block, copy k having signs[row[k]]."""
+    on = (signs == 0).any(axis=0) & (mode is SeparationMode.STRICT)
+    key = np.c_[cls.view(np.uint8).reshape(len(cls), 8), sign_keys(signs[:, ~on][row])]
+    cls, (row, *carry) = _split(key_groups(key)[1], 0, 0, 1, SeparationMode.RELAXED, row, *carry)
+    for j in np.flatnonzero(on):
+        s = signs[row, j]
+        cls, (row, *carry) = _split(cls, s > 0, s >= 0, 2, mode, row, *carry)
+    return cls, carry
 
 
 def refine(
@@ -459,9 +481,10 @@ def refine(
 
     Lines are grouped by direction. Each family of two or more parallel
     lines splits the live points in one step, by binary search of a*x+b*y
-    among the family's sorted offsets in exact integers. The remaining
-    lines go through the float kernel, in blocks of at most
-    ``_KERNEL_THRESHOLD`` entries, on live points only.
+    among its sorted offsets in exact integers. The other lines split them
+    a kernel block (``_KERNEL_THRESHOLD`` entries) at a time, by one exact
+    key per copy: class label bytes, then sign_keys; strict mode splits by
+    a line through a live point alone, as it duplicates the copies on it.
     """
     n = len(P)
     if n <= 1:
@@ -484,10 +507,7 @@ def refine(
         live, row = np.unique(pid, return_inverse=True)
         block = singles[start : start + max(1, _KERNEL_THRESHOLD // len(live))]
         start += len(block)
-        signs = line_signs(P, block, live)
-        for j in range(len(block)):
-            s = signs[row, j]
-            cls, (pid, row) = _split(cls, s > 0, s >= 0, 2, mode, pid, row)
+        cls, (pid,) = _split_block(cls, line_signs(P, block, live), row, mode, pid)
     order = np.lexsort((pid, cls))
     return np.split(pid[order], np.nonzero(np.diff(cls[order]))[0] + 1) if len(pid) else []
 

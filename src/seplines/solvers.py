@@ -39,10 +39,12 @@ from .sepsys import (
     _split,
     candidate_lines,
     find_unseparated_pair,
+    key_groups,
     line_signs,
     properize,
     rotate_line,
     settle,
+    sign_keys,
     split_line,
 )
 
@@ -518,12 +520,13 @@ def _pair_hits(P: PointSet, cand: CandidateLines, pair: PairId) -> np.ndarray:
 
 def _prune_redundant(P: PointSet, lines: List[CanonicalLine]) -> List[CanonicalLine]:
     """Drop lines, first to last, whose removal keeps the set separating
-    in relaxed mode, that is, keeps the points' exact sign rows distinct."""
-    S = line_signs(P, lines)
+    in relaxed mode, that is, keeps the points' exact sign rows distinct:
+    their sign_keys, with the bits of the dropped lines masked off."""
+    K = sign_keys(line_signs(P, lines))
     keep = np.ones(len(lines), dtype=bool)
     for i in range(len(lines)):
         keep[i] = False
-        if not keep.any() or len({row.tobytes() for row in S[:, keep]}) < len(P):
+        if not keep.any() or len(key_groups(K & np.tile(np.packbits(keep), 2))[0]) < len(P):
             keep[i] = True
     return [l for l, k in zip(lines, keep) if k]
 

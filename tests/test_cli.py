@@ -365,6 +365,16 @@ def test_partition_nonpositive_r_exits_3(tmp_path, capsys, r):
     assert "--r must be at least 1" in capsys.readouterr().err
 
 
+def test_partition_empty_point_file_exits_3(tmp_path, capsys):
+    _, lf = _write_grid_instance(tmp_path)
+    pf = tmp_path / "empty.txt"
+    pf.write_text("")
+    out = str(tmp_path / "x.json")
+    rc = main(["partition", "--points", str(pf), "--lines", lf, "--r", "2", "--out", out])
+    assert rc == EXIT_PRECONDITION
+    assert "point set is empty" in capsys.readouterr().err
+
+
 def test_study_scaling_n_zero_exits_3(capsys):
     rc = main(["study", "scaling", "--n", "0", "--trials", "1"])
     assert rc == EXIT_PRECONDITION

@@ -1,11 +1,14 @@
-"""Differential check of verification: `find_unseparated_pair` and
-`max_face_load`, which both work through `refine`, against a brute-force
-pair loop over exactly computed sign vectors, on seeded degenerate inputs:
+"""Differential check of verification: `find_unseparated_pair`,
+`max_face_load` and the classes of `refine` against a brute-force pair
+loop over exactly computed sign vectors, on seeded degenerate inputs:
 collinear points, points on lines, duplicate lines, parallel families,
-stars of lines through one point and 400-digit coefficients."""
+stars of lines through one point and 400-digit coefficients. The block
+step of `refine`, one exact key per point copy, is checked against the
+one-line split it replaced."""
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,8 +19,11 @@ from seplines.sepsys import (
     _KERNEL_THRESHOLD,
     PointSet,
     SeparationMode,
+    _split_block,
     find_unseparated_pair,
+    key_groups,
     refine,
+    sign_keys,
 )
 
 STRICT, RELAXED = SeparationMode.STRICT, SeparationMode.RELAXED
@@ -170,3 +176,93 @@ def test_max_face_load_matches_brute_force():
         assert max_face_load(P, lines) == brute_face_load(P, lines)
     P, lines = random_instance(rng, 300, 700, span=30)
     assert max_face_load(P, lines) == brute_face_load(P, lines)
+
+
+@pytest.mark.parametrize("mode", [STRICT, RELAXED], ids=["strict", "relaxed"])
+def test_refine_classes_match_brute_force(mode):
+    # Relaxed: the classes are the groups of two or more equal exact rows.
+    # Strict: a pair shares a class iff no line strictly separates it.
+    rng = random.Random(5)
+    for k in range(301):
+        n, m = (300, 700) if k == 300 else (rng.randrange(1, 14), rng.randrange(0, 9))
+        P, lines = random_instance(rng, n, m, span=40 if k == 300 else rng.choice([3, 5, 9]))
+        S = exact_sign_matrix(P, lines)
+        classes = [tuple(c.tolist()) for c in refine(P, lines, mode)]
+        if mode is RELAXED:
+            rows = {}
+            for i, row in enumerate(S.tolist()):
+                rows.setdefault(tuple(row), []).append(i)
+            assert sorted(classes) == sorted(tuple(g) for g in rows.values() if len(g) > 1)
+        else:
+            shared = {pair for c in classes for pair in combinations(c, 2)}
+            unseparated = {
+                (i, j) for i, j in combinations(range(len(P)), 2) if not (S[i] * S[j] == -1).any()
+            }
+            assert shared == unseparated
+
+
+def reference_split(cls, lo, hi, width, mode, *carry):
+    """The one-line split that `refine` applied to each kernel column
+    before block keys, kept as the reference for `_split_block`."""
+    if mode is SeparationMode.RELAXED:
+        key = cls * (2 * width) + lo + hi
+    else:
+        on = np.nonzero(hi > lo)[0]
+        key = np.concatenate([cls * width + lo, cls[on] * width + hi[on]])
+        carry = [np.concatenate([a, a[on]]) for a in carry]
+    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
+    big = counts > 1
+    keep = big[inv]
+    return (np.cumsum(big) - 1)[inv[keep]], [a[keep] for a in carry]
+
+
+def class_set(cls, copies):
+    return sorted(tuple(sorted(copies[cls == c].tolist())) for c in np.unique(cls))
+
+
+def block_cases():
+    """(cls, signs, row): copy k has class cls[k] and signs[row[k]]. As in
+    `refine`, the copies of one point carry distinct classes, and two
+    points share few zeros (a pair shares at most two of its cells)."""
+    rng = np.random.default_rng(12)
+    labels = np.array([0, 1, 255, 256, 300, 70_000, 2 ** 40])
+    for width in (1, 7, 8, 9, 17):
+        for kind in ("nonzero", "zeros", "zero columns", "equal rows", "one copy", "empty"):
+            for _ in range(20):
+                points = {"one copy": 1, "empty": 0}.get(kind, int(rng.integers(2, 40)))
+                signs = rng.choice(np.array([-1, 1], dtype=np.int8), (points, width))
+                if kind in ("zeros", "equal rows"):  # a point on one or two lines
+                    at = np.arange(points)
+                    signs[at, rng.integers(0, width, points)] = 0
+                    signs[at, rng.integers(0, width, points)] *= rng.integers(0, 2, points)
+                if kind == "zero columns":  # every point on one line
+                    signs[:, rng.integers(0, width)] = 0
+                if kind == "equal rows" and points:
+                    signs[:] = signs[0]
+                used = labels[: int(rng.integers(1, len(labels) + 1))]
+                cls, row = [], []
+                for i in range(points):
+                    mine = rng.choice(used, int(rng.integers(1, min(len(used), 3) + 1)), False)
+                    cls += mine.tolist()
+                    row += [i] * len(mine)
+                if kind == "one copy":
+                    cls, row = cls[:1], row[:1]
+                yield np.array(cls, dtype=np.int64), signs, np.array(row, dtype=np.int64)
+
+
+@pytest.mark.parametrize("mode", [STRICT, RELAXED], ids=["strict", "relaxed"])
+def test_split_block_matches_one_line_splits(mode):
+    for cls, signs, row in block_cases():
+        want_cls, want_row, copies = cls, row, np.arange(len(cls))
+        for j in range(signs.shape[1]):
+            s = signs[want_row, j]
+            want_cls, (copies, want_row) = reference_split(
+                want_cls, s > 0, s >= 0, 2, mode, copies, want_row
+            )
+        got_cls, (got,) = _split_block(cls, signs, row, mode, np.arange(len(cls)))
+        assert class_set(got_cls, got) == class_set(want_cls, copies)
+
+
+def test_key_groups_of_zero_width_rows():
+    first, inv = key_groups(sign_keys(np.zeros((3, 0), dtype=np.int8)))
+    assert first.tolist() == [0] and inv.tolist() == [0, 0, 0]
