@@ -1,13 +1,16 @@
 """Hot numeric kernels: batched line-side evaluation over point sets, in
 numpy.
 
-Kernels work in floating point and report *uncertain* entries whose
-magnitude falls under a conservative rounding-error bound; callers must
-escalate those entries to exact integer arithmetic. Certain entries are
-guaranteed to carry the true sign as long as every input is 0 or a normal
-double of magnitude within 2^-400..2^400, so that no product underflows.
-Callers mark inputs outside that range as NaN (see ``sepsys.float_array``);
-every entry involving a NaN is reported uncertain.
+A block's values a_j*x_i + b_j*y_i + c_j are one matrix product,
+``[X Y 1] @ [A; B; C]``, and their error bound a second one on absolute
+values. Kernels report *uncertain* entries whose magnitude falls under
+that conservative rounding-error bound; callers must escalate those
+entries to exact integer arithmetic. Certain entries are guaranteed to
+carry the true sign, whatever order or fused multiply-adds the product
+uses, as long as every input is 0 or a normal double of magnitude within
+2^-400..2^400, so that no product underflows. Callers mark inputs outside
+that range as NaN (see ``sepsys.float_array``); every entry involving a
+NaN is reported uncertain.
 """
 from __future__ import annotations
 
@@ -15,7 +18,8 @@ import numpy as np
 
 # |a*x + b*y + c| below (|a*x| + |b*y| + |c|) * EPS_FACTOR cannot be
 # trusted: covers conversion of big-int coefficients to float64 plus the
-# three roundings of the evaluation, with a wide safety margin.
+# roundings of the three-term sum in any order, fused multiply-adds
+# included, and of the bound's own product, with a wide safety margin.
 EPS_FACTOR = 2.0 ** -45
 
 # Multipliers for the 64-bit row hashes (odd => invertible mod 2^64).
@@ -32,14 +36,22 @@ def _as_f64(*arrays):
     return (np.ascontiguousarray(v, dtype=np.float64) for v in arrays)
 
 
+def _products(A, B, C, X, Y):
+    """Values [X Y 1] @ [A; B; C] and their error bounds, (n, m) each."""
+    P = np.stack([X, Y, np.ones_like(X)], axis=1)
+    L = np.stack([A, B, C])
+    vals = P @ L
+    np.abs(L, out=L)
+    L *= EPS_FACTOR
+    return vals, np.abs(P) @ L
+
+
 def _signs(A, B, C, X, Y):
-    vals = np.outer(X, A) + np.outer(Y, B) + C[None, :]
-    err = np.outer(np.abs(X), np.abs(A)) + np.outer(np.abs(Y), np.abs(B))
-    err = (err + np.abs(C)[None, :]) * EPS_FACTOR
+    vals, err = _products(A, B, C, X, Y)
     # Comparisons with NaN are false, so NaN entries come out uncertain.
-    uncertain = ~(np.abs(vals) > err)
-    vals[uncertain] = 0.0
-    return np.sign(vals).astype(np.int8), uncertain
+    pos = vals > err
+    neg = vals < np.negative(err, out=err)
+    return pos.view(np.int8) - neg.view(np.int8), ~(pos | neg)
 
 
 def eval_signs(A, B, C, X, Y):
@@ -110,18 +122,19 @@ def row_hash(A, B, C, X, Y):
 def line_side_counts(A, B, C, X, Y):
     """For each line: (#points below, #points on-or-uncertain, #points above).
 
-    Approximate at the uncertainty boundary; use for priority seeding only.
+    Below and above count certain entries only, so they never exceed the
+    exact counts; use for priority seeding only.
     """
     A, B, C, X, Y = _as_f64(A, B, C, X, Y)
     n, m = X.shape[0], A.shape[0]
     below = np.zeros(m, dtype=np.int64)
-    on = np.zeros(m, dtype=np.int64)
     above = np.zeros(m, dtype=np.int64)
     chunk = max(1, min(m, 2 ** 20 // max(n, 1)))
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
-        signs, _ = _signs(A[lo:hi], B[lo:hi], C[lo:hi], X, Y)
-        below[lo:hi] = np.count_nonzero(signs == -1, axis=0)
-        above[lo:hi] = np.count_nonzero(signs == 1, axis=0)
-        on[lo:hi] = n - below[lo:hi] - above[lo:hi]
+        vals, err = _products(A[lo:hi], B[lo:hi], C[lo:hi], X, Y)
+        above[lo:hi] = np.count_nonzero(vals > err, axis=0)
+        below[lo:hi] = np.count_nonzero(vals < np.negative(err, out=err), axis=0)
+        del vals, err  # free this chunk's blocks before the next one's
+    on = n - below - above
     return below, on, above

@@ -106,6 +106,8 @@ class WeightState:
     are weight ratios so rescaling never changes them. The incremental
     total is re-validated against a full resummation every 64 doublings.
     A ``mask`` argument selects lines: a boolean mask or an index array.
+    The normalized cdf is rebuilt only when the weights change, so that
+    ``sample`` costs one search per draw and no m-long temporaries.
     """
 
     RESCALE_LIMIT = 2.0 ** 512
@@ -118,6 +120,12 @@ class WeightState:
         self.total_weight = float(m)
         self.rescale_exponent = 0
         self.doubling_events = 0
+        self._rebuild_cdf()
+
+    def _rebuild_cdf(self) -> None:
+        # The cdf rng.choice(m, p=p) builds, with p = weights / weights.sum().
+        self.cdf = (self.weights / self.weights.sum()).cumsum()
+        self.cdf /= self.cdf[-1]
 
     def masked_weight(self, mask: np.ndarray) -> float:
         return float(self.weights[mask].sum())
@@ -137,10 +145,11 @@ class WeightState:
             self.weights *= 2.0 ** -512
             self.total_weight *= 2.0 ** -512
             self.rescale_exponent += 512
+        self._rebuild_cdf()
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        p = self.weights / self.weights.sum()
-        return rng.choice(len(self.weights), size=size, replace=True, p=p)
+        """The indices rng.choice(m, size, p=weights / weights.sum()) draws."""
+        return self.cdf.searchsorted(rng.random(size), side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +362,18 @@ def _gather(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return at, first + np.arange(len(at))
 
 
+def _seed_bounds(
+    below: np.ndarray, on: np.ndarray, above: np.ndarray, per_line: np.ndarray, strict: bool
+) -> np.ndarray:
+    """Upper bounds on greedy's first-round entry counts, from each line's
+    kernel side counts: uncertain points count as on the line and are
+    resolved optimistically. In strict mode each line has four variant
+    entries per incident pair (``per_line``)."""
+    if strict:
+        return np.repeat((below + on) * (above + on), 4 * per_line)
+    return below * above + on * (below + above) + on * (on - 1) // 2
+
+
 def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]:
     """Greedy baseline: repeatedly add the line separating the most
     currently-unseparated pairs (ties by canonical line order, then
@@ -458,13 +479,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         lo, on, hi = tal[:, :, 0], tal[:, :, 1], tal[:, :, 2]
         return (lo * hi if strict else lo * hi + on * (lo + hi)).sum(axis=1)
 
-    # Seed bounds from kernel side counts, uncertain points counted as on
-    # the line and resolved optimistically.
-    below, on, above = _kernels.line_side_counts(A, B, C, xf, yf)
-    if strict:
-        bound = np.repeat((below + on) * (above + on), 4 * per_line)
-    else:
-        bound = below * above + on * (below + above) + on * (on - 1) // 2
+    bound = _seed_bounds(*_kernels.line_side_counts(A, B, C, xf, yf), per_line, strict)
     order = np.arange(len(bound))
     out: List[CanonicalLine] = []
     while len(pid):

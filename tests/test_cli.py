@@ -1,6 +1,11 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +265,32 @@ def test_study_byte_identical_rerun(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert out1 == out2
     assert c1.read_bytes() == c2.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "strict"])
+def test_greedy_output_independent_of_blas_threads(tmp_path, mode):
+    """The kernels' matrix products run on as many threads as OpenBLAS
+    picks; 96 points make them large enough to be split. Each certain
+    sign is exact whatever the summation order, so the output must be
+    byte-identical with one BLAS thread and with the default."""
+    rng = random.Random(96)
+    pts = tmp_path / "p.txt"
+    pts.write_text("".join(
+        f"{rng.getrandbits(40)}/{2 ** 40} {rng.getrandbits(40)}/{2 ** 40}\n" for _ in range(96)
+    ))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    argv = [sys.executable, "-m", "seplines.cli", "solve", "--input", str(pts),
+            "--algo", "greedy", "--mode", mode]
+    outs = []
+    for threads in (None, "1"):
+        run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+        r = subprocess.run(argv, env=run_env, capture_output=True, timeout=300)
+        assert r.returncode == EXIT_OK, r.stderr.decode()
+        outs.append(r.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_study_trelax_face_load_failure_exits_4(monkeypatch, capsys):

@@ -197,6 +197,35 @@ def test_weight_state_doubling_and_masking():
     assert (picks == 0).mean() > 0.9  # item 0 carries almost all weight
 
 
+def test_weight_state_sample_matches_generator_choice():
+    """sample's cached cdf draws exactly the indices Generator.choice draws
+    from the same weights: initially, after doublings and after a
+    rescale. A numpy release that changes choice's algorithm fails here
+    instead of silently moving reweight's output."""
+    rng = np.random.default_rng(20261019)
+    for m in (1, 2, 7, 1000, 32640):
+        w = WeightState(m)
+        states = []
+        for step in range(700):
+            if step % 100 == 0:
+                states.append((w.weights / w.weights.sum(), w.cdf.copy()))
+            if step < 80:
+                w.double(rng.choice(m, size=max(1, m // 20), replace=False))
+            else:  # a few lines take over the weight, forcing a rescale
+                w.double(np.arange(min(m, 3)))
+        assert w.rescale_exponent > 0
+        states.append((w.weights / w.weights.sum(), w.cdf.copy()))
+        for p, cdf in states:
+            w.cdf = cdf
+            for seed in range(3):
+                size = 1 + seed * 500
+                want = np.random.default_rng(seed).choice(
+                    m, size=size, replace=True, p=p
+                )
+                got = w.sample(np.random.default_rng(seed), size)
+                assert got.dtype == want.dtype and (got == want).all()
+
+
 # ---------------------------------------------------------------------------
 # halving
 
