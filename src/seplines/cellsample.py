@@ -1,7 +1,6 @@
 """Counting and uniformly sampling arrangement vertices inside a convex
 cell, via a counterclockwise boundary sweep over the lines' crossing
-events and a persistent order-statistics tree; plus a mass-weighted cell
-sampler.
+events and a persistent order-statistics tree.
 
 A line crossing the cell interior meets the boundary at exactly two
 points. Walking the boundary counterclockwise, two lines intersect inside
@@ -148,15 +147,7 @@ class CrossingEvent:
 
 
 @dataclass
-class CrossingSequence:
-    events: List[CrossingEvent]
-
-
-@dataclass
 class CellIntersectionIndex:
-    cell: ConvexCell
-    lines: List[CanonicalLine]
-    sequence: CrossingSequence
     interval: Dict[int, Tuple[int, int]]  # line id -> (first rank, second rank)
     pair_count: Dict[int, int]
     snapshots: Dict[int, Optional[_Node]]  # line id -> tree before its deletion
@@ -226,9 +217,6 @@ def build_index(cell: ConvexCell, lines: Sequence[CanonicalLine]) -> CellInterse
             snapshots[lid] = root
             root = _delete(root, i)
     return CellIntersectionIndex(
-        cell=cell,
-        lines=lines,
-        sequence=CrossingSequence(events),
         interval=interval,
         pair_count=pair_count,
         snapshots=snapshots,
@@ -307,158 +295,3 @@ def brute_force_vertex_count(cell: ConvexCell, lines: Sequence[CanonicalLine]) -
             else:
                 count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# mass-weighted cell sampling
-
-
-@dataclass
-class _MassNode:
-    cell_id: int
-    prio: int
-    support: int
-    depth: int
-    left: Optional["_MassNode"] = None
-    right: Optional["_MassNode"] = None
-    subtree_mass: float = 0.0
-
-    @property
-    def mass(self) -> float:
-        return self.support * 2.0 ** self.depth
-
-
-def _m_mass(node: Optional[_MassNode]) -> float:
-    return node.subtree_mass if node is not None else 0.0
-
-
-def _m_fix(node: _MassNode) -> _MassNode:
-    node.subtree_mass = node.mass + _m_mass(node.left) + _m_mass(node.right)
-    return node
-
-
-class MassTree:
-    """Search tree keyed by cell id with per-cell mass support * 2^depth;
-    subtree masses cached for random root-to-leaf descent sampling.
-    Single-writer; ``depth`` is maintained by the caller."""
-
-    def __init__(self):
-        self._root: Optional[_MassNode] = None
-
-    def total_mass(self) -> float:
-        return _m_mass(self._root)
-
-    def __contains__(self, cell_id: int) -> bool:
-        node = self._root
-        while node is not None:
-            if cell_id == node.cell_id:
-                return True
-            node = node.left if cell_id < node.cell_id else node.right
-        return False
-
-    def insert(self, cell_id: int, support: int, depth: int) -> None:
-        if support < 0:
-            raise ValueError("support must be non-negative")
-        if cell_id in self:
-            raise ValueError(f"cell {cell_id} already present")
-        node = _MassNode(cell_id, splitmix64(cell_id), support, depth)
-        self._root = self._insert(self._root, node)
-
-    def update(self, cell_id: int, support: int, depth: int) -> None:
-        node = self._root
-        path = []
-        while node is not None and node.cell_id != cell_id:
-            path.append(node)
-            node = node.left if cell_id < node.cell_id else node.right
-        if node is None:
-            raise KeyError(f"cell {cell_id} not in tree")
-        node.support, node.depth = support, depth
-        _m_fix(node)
-        for p in reversed(path):
-            _m_fix(p)
-
-    def remove(self, cell_id: int) -> None:
-        if cell_id not in self:
-            raise KeyError(f"cell {cell_id} not in tree")
-        self._root = self._remove(self._root, cell_id)
-
-    def sample_cell(self, rng) -> int:
-        """Cell id with probability mass/total, by random descent. ``rng``
-        needs a ``random()`` method returning a float in [0, 1)."""
-        node = self._root
-        if node is None or node.subtree_mass <= 0:
-            raise EmptyStructureError("mass tree empty or massless")
-        while True:
-            r = rng.random() * node.subtree_mass
-            lm = _m_mass(node.left)
-            if r < lm and node.left is not None:
-                node = node.left
-            elif r < lm + node.mass or (node.right is None or _m_mass(node.right) <= 0):
-                if node.mass > 0:
-                    return node.cell_id
-                node = node.left  # all mass on the left (numeric edge)
-            else:
-                node = node.right
-
-    # -- treap internals (mutating, not persistent) --
-
-    def _insert(self, node: Optional[_MassNode], new: _MassNode) -> _MassNode:
-        if node is None:
-            return _m_fix(new)
-        if new.prio > node.prio:
-            new.left, new.right = self._split(node, new.cell_id)
-            return _m_fix(new)
-        if new.cell_id < node.cell_id:
-            node.left = self._insert(node.left, new)
-        else:
-            node.right = self._insert(node.right, new)
-        return _m_fix(node)
-
-    def _split(self, node: Optional[_MassNode], cell_id: int):
-        if node is None:
-            return None, None
-        if node.cell_id < cell_id:
-            l, r = self._split(node.right, cell_id)
-            node.right = l
-            return _m_fix(node), r
-        l, r = self._split(node.left, cell_id)
-        node.left = r
-        return l, _m_fix(node)
-
-    def _remove(self, node: Optional[_MassNode], cell_id: int) -> Optional[_MassNode]:
-        if node is None:
-            return None
-        if node.cell_id == cell_id:
-            return self._merge(node.left, node.right)
-        if cell_id < node.cell_id:
-            node.left = self._remove(node.left, cell_id)
-        else:
-            node.right = self._remove(node.right, cell_id)
-        return _m_fix(node)
-
-    def _merge(self, a: Optional[_MassNode], b: Optional[_MassNode]):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        if a.prio >= b.prio:
-            a.right = self._merge(a.right, b)
-            return _m_fix(a)
-        b.left = self._merge(a, b.left)
-        return _m_fix(b)
-
-
-def mass_tree_insert(tree: MassTree, cell_id: int, support: int, depth: int) -> None:
-    tree.insert(cell_id, support, depth)
-
-
-def mass_tree_update(tree: MassTree, cell_id: int, support: int, depth: int) -> None:
-    tree.update(cell_id, support, depth)
-
-
-def mass_tree_remove(tree: MassTree, cell_id: int) -> None:
-    tree.remove(cell_id)
-
-
-def sample_cell(tree: MassTree, rng) -> int:
-    return tree.sample_cell(rng)

@@ -23,6 +23,7 @@ from .solvers import halving_separator  # noqa: F401
 
 GRID_BITS = 40
 GRID = 1 << GRID_BITS
+STUDY_TEST_LINES = 1000  # random lines per scaling trial for max_active_per_line
 
 
 def trial_seed(seed: int, trial: int) -> int:
@@ -289,12 +290,15 @@ class StudyTable:
 
 
 def fit_exponent(ns: Sequence[int], means: Sequence[float]) -> Optional[float]:
-    """Least-squares slope of log(mean) vs log(n); None for < 2 sizes."""
-    if len(ns) < 2:
+    """Least-squares slope of log(mean) vs log(n) over the sizes whose mean
+    is positive (a mean of 0 has no logarithm); None when fewer than two
+    such sizes remain."""
+    x = np.array(ns, dtype=np.float64)
+    y = np.array(means, dtype=np.float64)
+    keep = y > 0
+    if keep.sum() < 2:
         return None
-    x = np.log(np.array(ns, dtype=np.float64))
-    y = np.log(np.array(means, dtype=np.float64))
-    slope, _ = np.polyfit(x, y, 1)
+    slope, _ = np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)
     return float(slope)
 
 
@@ -414,7 +418,6 @@ def scaling_study(
     n_list: Sequence[int],
     trials: int,
     seed: int,
-    test_lines: int = 1000,
     timing: bool = False,
     threads: int = 1,
 ) -> StudyTable:
@@ -432,7 +435,7 @@ def scaling_study(
         elapsed = (time.perf_counter() - t0) * 1000.0
         colliding, active_ids = cell_counts(*P.int_coords(), N)
         mrng = np.random.default_rng(trial_seed(s, 1))
-        mact = max_active_cells_per_line(active_ids, N, test_lines, mrng)
+        mact = max_active_cells_per_line(active_ids, N, STUDY_TEST_LINES, mrng)
         return StudyRow(
             n=n,
             trial=t,

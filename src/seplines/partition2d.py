@@ -19,6 +19,7 @@ from .sepsys import (
 
 ARRANGEMENT_LINE_CAP = 512
 MAX_SAMPLE_ATTEMPTS = 16
+BOX_MARGIN = Fraction(1, 10)  # padding on each side, as a share of the span
 
 
 class ArrangementCapError(PreconditionError):
@@ -201,11 +202,11 @@ class Partition:
         return max((len(pl) for pl in self.point_lists), default=0)
 
 
-def bounding_box(P: PointSet, margin: Fraction = Fraction(1, 10)) -> Box:
+def bounding_box(P: PointSet) -> Box:
     xs, ys, d = P.int_coords()
     x0, x1, y0, y1 = (Fraction(v, d) for v in (min(xs), max(xs), min(ys), max(ys)))
-    padx = (x1 - x0) * margin or Fraction(1)
-    pady = (y1 - y0) * margin or Fraction(1)
+    padx = (x1 - x0) * BOX_MARGIN or Fraction(1)
+    pady = (y1 - y0) * BOX_MARGIN or Fraction(1)
     return (x0 - padx, y0 - pady, x1 + padx, y1 + pady)
 
 

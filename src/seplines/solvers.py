@@ -100,52 +100,39 @@ class SolveResult:
 
 
 class WeightState:
-    """Per-candidate-line weights 2^hit_count, kept as scaled float64.
+    """Per-candidate-line weights 2^(times doubled), kept as scaled float64.
 
     All weights carry an implicit factor 2^rescale_exponent; probabilities
-    are weight ratios so rescaling never changes them. The incremental
-    total is re-validated against a full resummation every 64 doublings.
+    are weight ratios so rescaling never changes them. ``total_weight`` is
+    the full sum, taken afresh whenever the weights change.
     A ``mask`` argument selects lines: a boolean mask or an index array.
     The normalized cdf is rebuilt only when the weights change, so that
     ``sample`` costs one search per draw and no m-long temporaries.
     """
 
     RESCALE_LIMIT = 2.0 ** 512
-    RESUM_EVERY = 64
-    RESUM_RTOL = 1e-9
 
     def __init__(self, m: int):
-        self.hit_count = np.zeros(m, dtype=np.int64)
         self.weights = np.ones(m, dtype=np.float64)
-        self.total_weight = float(m)
         self.rescale_exponent = 0
-        self.doubling_events = 0
         self._rebuild_cdf()
 
     def _rebuild_cdf(self) -> None:
         # The cdf rng.choice(m, p=p) builds, with p = weights / weights.sum().
-        self.cdf = (self.weights / self.weights.sum()).cumsum()
+        self.total_weight = float(self.weights.sum())
+        self.cdf = (self.weights / self.total_weight).cumsum()
         self.cdf /= self.cdf[-1]
 
     def masked_weight(self, mask: np.ndarray) -> float:
         return float(self.weights[mask].sum())
 
     def double(self, mask: np.ndarray) -> None:
-        delta = float(self.weights[mask].sum())
         self.weights[mask] *= 2.0
-        self.hit_count[mask] += 1
-        self.total_weight += delta
-        self.doubling_events += 1
-        if self.doubling_events % self.RESUM_EVERY == 0:
-            resum = float(self.weights.sum())
-            if abs(self.total_weight - resum) > self.RESUM_RTOL * resum:
-                raise SolverError("weight accumulator drifted beyond 1e-9")
-            self.total_weight = resum
+        self._rebuild_cdf()
         if self.total_weight > self.RESCALE_LIMIT:
             self.weights *= 2.0 ** -512
-            self.total_weight *= 2.0 ** -512
             self.rescale_exponent += 512
-        self._rebuild_cdf()
+            self._rebuild_cdf()
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """The indices rng.choice(m, size, p=weights / weights.sum()) draws."""

@@ -9,13 +9,9 @@ from seplines.cellsample import (
     ConvexCell,
     DegeneracyError,
     EmptyStructureError,
-    MassTree,
     brute_force_vertex_count,
     build_index,
     count_vertices,
-    mass_tree_insert,
-    mass_tree_remove,
-    mass_tree_update,
     sample_vertex,
 )
 from seplines.geom import CanonicalLine, intersect_lines, orient, pt
@@ -113,40 +109,3 @@ def test_sample_vertex_empty_raises():
     idx = build_index(UNIT_SQUARE, [l1])
     with pytest.raises(EmptyStructureError):
         sample_vertex(idx, np.random.default_rng(0))
-
-
-def test_mass_tree_operations():
-    t = MassTree()
-    mass_tree_insert(t, cell_id=5, support=3, depth=1)  # mass 6
-    mass_tree_insert(t, cell_id=2, support=1, depth=2)  # mass 4
-    assert t.total_mass() == pytest.approx(10.0)
-    assert 5 in t and 2 in t and 7 not in t
-    with pytest.raises(ValueError):
-        mass_tree_insert(t, cell_id=5, support=1, depth=0)
-    mass_tree_update(t, cell_id=2, support=1, depth=3)  # mass 8
-    assert t.total_mass() == pytest.approx(14.0)
-    mass_tree_remove(t, cell_id=5)
-    assert 5 not in t
-    assert t.total_mass() == pytest.approx(8.0)
-    with pytest.raises(KeyError):
-        mass_tree_remove(t, cell_id=5)
-
-
-def test_mass_tree_sampling_proportional():
-    t = MassTree()
-    mass_tree_insert(t, 1, support=1, depth=0)  # mass 1
-    mass_tree_insert(t, 2, support=3, depth=0)  # mass 3
-    mass_tree_insert(t, 3, support=1, depth=2)  # mass 4
-    rng = np.random.default_rng(3)
-    draws = 40_000
-    counts = {1: 0, 2: 0, 3: 0}
-    for _ in range(draws):
-        counts[t.sample_cell(rng)] += 1
-    assert counts[1] / draws == pytest.approx(1 / 8, abs=0.01)
-    assert counts[2] / draws == pytest.approx(3 / 8, abs=0.01)
-    assert counts[3] / draws == pytest.approx(4 / 8, abs=0.01)
-
-
-def test_mass_tree_empty_sample_raises():
-    with pytest.raises(EmptyStructureError):
-        MassTree().sample_cell(np.random.default_rng(0))

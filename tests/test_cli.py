@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -267,6 +268,37 @@ def test_study_byte_identical_rerun(tmp_path, capsys):
     assert c1.read_bytes() == c2.read_bytes()
 
 
+def _subprocess_env():
+    """The environment for running ``python -m seplines.cli`` on this
+    checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "what, sizes",
+    [(["scaling"], [0, 2, 5]), (["trelax", "--t", "2"], [0, 2, 4])],
+    ids=["scaling", "trelax"],
+)
+def test_study_with_zero_line_sizes_prints_strict_json(what, sizes):
+    """n = 1 needs no separating line; a mean of 0 has no logarithm, so
+    the exponent is fitted over the positive means only (n = 2 and 4),
+    and stdout stays valid JSON (no NaN) with nothing on stderr."""
+    argv = [sys.executable, "-m", "seplines.cli", "study", *what,
+            "--n", "1,2,4", "--trials", "1"]
+    r = subprocess.run(argv, env=_subprocess_env(), capture_output=True, timeout=300)
+    assert r.returncode == EXIT_OK, r.stderr.decode()
+    assert r.stderr == b""
+    doc = json.loads(r.stdout, parse_constant=_reject_constant)
+    assert [row["mean_size"] for row in doc["per_n"]] == sizes
+    assert doc["fitted_exponent"] == pytest.approx(math.log2(sizes[2] / sizes[1]))
+
+
 @pytest.mark.parametrize("mode", ["relaxed", "strict"])
 def test_greedy_output_independent_of_blas_threads(tmp_path, mode):
     """The kernels' matrix products run on as many threads as OpenBLAS
@@ -278,9 +310,7 @@ def test_greedy_output_independent_of_blas_threads(tmp_path, mode):
     pts.write_text("".join(
         f"{rng.getrandbits(40)}/{2 ** 40} {rng.getrandbits(40)}/{2 ** 40}\n" for _ in range(96)
     ))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = _subprocess_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     argv = [sys.executable, "-m", "seplines.cli", "solve", "--input", str(pts),
             "--algo", "greedy", "--mode", mode]

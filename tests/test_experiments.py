@@ -235,6 +235,9 @@ def test_fit_exponent_recovers_powerlaw():
     ns = [2 ** k for k in range(6, 12)]
     means = [3.7 * n ** 0.66 for n in ns]
     assert ex.fit_exponent(ns, means) == pytest.approx(0.66, abs=1e-9)
+    # a mean of 0 (n = 1 needs no line) is left out of the fit
+    assert ex.fit_exponent([1] + ns, [0.0] + means) == pytest.approx(0.66, abs=1e-9)
+    assert ex.fit_exponent([1, 2], [0.0, 1.0]) is None
 
 
 # ---------------------------------------------------------------------------

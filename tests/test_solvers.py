@@ -1,9 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from seplines.experiments import random_points
 from seplines.geom import CanonicalLine, pt, side
 from seplines.sepsys import (
     PointSet, PreconditionError, SeparationMode, TooFewPointsError, properize,
@@ -185,6 +187,7 @@ def test_weight_state_doubling_and_masking():
     w.double(mask)
     assert w.masked_weight(mask) == pytest.approx(6.0)
     assert w.total_weight == pytest.approx(11.0)
+    assert w.total_weight == float(w.weights.sum())
     # many doublings stay finite thanks to rescaling
     one = np.zeros(8, dtype=bool)
     one[0] = True
@@ -192,9 +195,25 @@ def test_weight_state_doubling_and_masking():
         w.double(one)
     assert math.isfinite(w.total_weight) and w.total_weight > 0
     assert w.rescale_exponent > 0
+    assert w.total_weight == float(w.weights.sum())
     rng = np.random.default_rng(0)
     picks = w.sample(rng, 64)
     assert (picks == 0).mean() > 0.9  # item 0 carries almost all weight
+
+
+def test_reweight_doubling_path_pinned():
+    """The benchmark's reweight sets never double a weight, so this run
+    pins the doubling path: its rounds, doublings, guesses and the
+    sha256 of its lines, one "a b c" row each."""
+    res = reweight_approx(random_points(512, 1), seed=3)
+    assert res.rounds_used == 77
+    assert res.weight_doublings == 11
+    assert res.guess_history == [(23, 77, True)]
+    assert len(res.lines) == 102
+    text = "".join("%d %d %d\n" % l.coeffs() for l in res.lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "33a5464dea7633ab34efe5f1c15a4cf503bbc7ad65290aa1a29d62cfabf56c5c"
+    )
 
 
 def test_weight_state_sample_matches_generator_choice():
