@@ -361,6 +361,36 @@ def _seed_bounds(
     return below * above + on * (below + above) + on * (on - 1) // 2
 
 
+def _class_indicator(cls: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The float32 one-hot matrix (classes, points) of the compact class
+    labels ``cls``, and the class sizes."""
+    size = np.bincount(cls)
+    M = np.zeros((len(size), len(cls)), dtype=np.float32)
+    M[cls, np.arange(len(cls))] = 1
+    return M, size
+
+
+def _class_tally(M: np.ndarray, size: np.ndarray, S: np.ndarray, strict: bool) -> np.ndarray:
+    """Unseparated pairs each column of the exact signs S (points,
+    entries) separates, for the classes of the one-hot ``M``
+    (:func:`_class_indicator`). Per class, s = hi - lo and a = hi + lo
+    give lo * hi = (a^2 - s^2) / 4; relaxed mode adds on * (lo + hi) =
+    (size - a) * a, the pairs with one point on the line. Both are
+    summed over the classes."""
+    # Every term of both products is 0 or +-1, so every partial sum is an
+    # integer of magnitude at most the number of points, below 2^24: the
+    # float32 sums are exact whatever the summation order, fused
+    # multiply-adds or BLAS thread count.
+    F = S.astype(np.float32)
+    s = (M @ F).astype(np.int64)
+    a = (M @ np.abs(F, out=F)).astype(np.int64)
+    aa = np.einsum("ck,ck->k", a, a)
+    c = (aa - np.einsum("ck,ck->k", s, s)) // 4
+    if not strict:
+        c += size @ a - aa
+    return c
+
+
 def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]:
     """Greedy baseline: repeatedly add the line separating the most
     currently-unseparated pairs (ties by canonical line order, then
@@ -457,19 +487,11 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         S[row, at] = np.where(su == sv, su, su * turn)
         return S
 
-    def counts(S: np.ndarray) -> np.ndarray:
-        """Unseparated pairs each column of signs S separates."""
-        k = S.shape[1]
-        n_cls = int(cls.max()) + 1
-        key = (np.arange(k) * n_cls + cls[:, None]) * 3 + (S + 1)
-        tal = np.bincount(key.ravel(), minlength=3 * n_cls * k).reshape(k, n_cls, 3)
-        lo, on, hi = tal[:, :, 0], tal[:, :, 1], tal[:, :, 2]
-        return (lo * hi if strict else lo * hi + on * (lo + hi)).sum(axis=1)
-
     bound = _seed_bounds(*_kernels.line_side_counts(A, B, C, xf, yf), per_line, strict)
     order = np.arange(len(bound))
     out: List[CanonicalLine] = []
     while len(pid):
+        M, size = _class_indicator(cls)
         order = order[bound[order] > 0]
         order = order[np.argsort(order - bound[order] * len(bound), kind="stable")]
         step = max(1, _KERNEL_THRESHOLD // len(pid))
@@ -479,7 +501,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
             blk = order[pos : pos + step]
             pos += len(blk)
             S = entry_block(blk)
-            c = counts(S)
+            c = _class_tally(M, size, S, strict)
             bound[blk] = c
             k = np.lexsort((blk, -c))[0]
             if (c[k], -blk[k]) > (best, -win):

@@ -2,7 +2,10 @@
 naive reference greedy: every round, every entry's exact count over the
 unseparated pairs, and the entry with the highest count and the lowest
 tie rank wins. Seeded cases: general position, collinear grids (huge
-coordinates too), and instances that take several kernel blocks."""
+coordinates too), and instances that take several kernel blocks. Also:
+greedy's class tally against the bincount tally it replaced, and outputs
+pinned at sizes the reference cannot reach quickly."""
+import hashlib
 import random
 from fractions import Fraction
 
@@ -196,3 +199,69 @@ def test_seed_bounds_bound_first_round_counts(mode):
         assert len(bound) == len(exact)
         assert (bound >= exact).all(), list(P)
     assert uncertain_off_line > 0
+
+
+def bincount_tally(cls, S, strict):
+    """The tally greedy used before the indicator products: one bincount
+    over (entry, class, sign)."""
+    k = S.shape[1]
+    n_cls = int(cls.max()) + 1
+    key = (np.arange(k) * n_cls + cls[:, None]) * 3 + (S + 1)
+    tal = np.bincount(key.ravel(), minlength=3 * n_cls * k).reshape(k, n_cls, 3)
+    lo, on, hi = tal[:, :, 0], tal[:, :, 1], tal[:, :, 2]
+    return (lo * hi if strict else lo * hi + on * (lo + hi)).sum(axis=1)
+
+
+def tally_blocks():
+    """(name, class labels, signs) blocks: edge cases, then random blocks
+    of greedy's shapes (_KERNEL_THRESHOLD // live entries at 192 and 96
+    live points) with few to many classes."""
+    rng = np.random.default_rng(20261019)
+
+    def signs(rows, k):
+        return rng.integers(-1, 2, size=(rows, k)).astype(np.int8)
+
+    # One class of 4099 points: an all-+1 column sums to 4099, which a
+    # float16 product cannot hold.
+    one = signs(4099, 6)
+    one[:, 0], one[:, 1] = 1, 0
+    out = [("one-class", np.zeros(4099, dtype=np.int64), one)]
+    out.append(("pairs", np.repeat(np.arange(50), 2), signs(100, 40)))
+    zeros = signs(60, 30)
+    zeros[:, ::3] = 0
+    out.append(("zero-columns", np.arange(60) % 7, zeros))
+    plus = signs(60, 30)
+    plus[:, 1::3] = 1
+    out.append(("plus-columns", np.arange(60) % 5, plus))
+    for live, k in ((192, 1041), (96, 2083)):
+        for n_cls in (1, 3, 20, live // 2):
+            cls = np.concatenate([np.arange(n_cls), rng.integers(0, n_cls, live - n_cls)])
+            out.append((f"{live}x{k}-{n_cls}", rng.permutation(cls), signs(live, k)))
+    return out
+
+
+@pytest.mark.parametrize("mode", [RELAXED, STRICT], ids=["relaxed", "strict"])
+def test_class_tally_matches_bincount_tally(mode):
+    strict = mode is STRICT
+    for name, cls, S in tally_blocks():
+        M, size = solvers._class_indicator(cls)
+        got = solvers._class_tally(M, size, S, strict)
+        assert got.dtype == np.int64, name
+        assert (got == bincount_tally(cls, S, strict)).all(), name
+
+
+@pytest.mark.parametrize(
+    "mode, n, digest",
+    [
+        (RELAXED, 256, "9538675a2ccc1ce2197af061f00bcf16e636de0ba7a2c6cfd5dab25faaa55535"),
+        (STRICT, 128, "57b5e6e104b0b686ee0a070b063224c007fa7cfad93d4ae86dbf3ac0344b03ba"),
+    ],
+    ids=["relaxed", "strict"],
+)
+def test_greedy_output_pinned_past_reference_sizes(mode, n, digest):
+    """Sizes the naive reference greedy cannot reach quickly: late rounds
+    tally many classes per block. Pins the sha256 of the lines, one
+    "a b c" row each, recorded with the bincount tally."""
+    lines = greedy_hitting_set(random_points(n, 44), mode)
+    text = "".join("%d %d %d\n" % l.coeffs() for l in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
