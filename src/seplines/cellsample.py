@@ -1,22 +1,22 @@
 """Counting and uniformly sampling arrangement vertices inside a convex
 cell, via a counterclockwise boundary sweep over the lines' crossing
-events and a persistent order-statistics tree.
+events with a Fenwick tree over event ranks.
 
 A line crossing the cell interior meets the boundary at exactly two
 points. Walking the boundary counterclockwise, two lines intersect inside
 the cell iff their event intervals interleave (each contains exactly one
-endpoint of the other). The sweep inserts a line at its first event and,
-at its second event, counts the stored lines whose first event falls
-strictly inside the interval; a snapshot of the tree taken before each
-deletion supports order-statistics selection for uniform sampling.
+endpoint of the other). The sweep marks a line open at its first event
+and, at its second event, counts the open lines whose first event falls
+strictly inside the interval, then closes it. Sampling picks a line by
+its count and scans its interval for the lines it counted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .geom import CanonicalLine, Point, orient, sign, splitmix64
+from .geom import CanonicalLine, Point, orient, sign
 
 
 class DegeneracyError(ValueError):
@@ -55,84 +55,6 @@ class ConvexCell:
 
 
 # ---------------------------------------------------------------------------
-# persistent order-statistics treap (path copying)
-
-
-@dataclass(frozen=True)
-class _Node:
-    key: int
-    prio: int
-    left: Optional["_Node"]
-    right: Optional["_Node"]
-    size: int
-
-
-def _mk(key: int, prio: int, left, right) -> _Node:
-    return _Node(key, prio, left, right, 1 + _size(left) + _size(right))
-
-
-def _size(node: Optional[_Node]) -> int:
-    return node.size if node is not None else 0
-
-
-def _split(node: Optional[_Node], key: int):
-    """(keys < key, keys >= key), copying the search path."""
-    if node is None:
-        return None, None
-    if node.key < key:
-        l, r = _split(node.right, key)
-        return _mk(node.key, node.prio, node.left, l), r
-    l, r = _split(node.left, key)
-    return l, _mk(node.key, node.prio, r, node.right)
-
-
-def _merge(a: Optional[_Node], b: Optional[_Node]) -> Optional[_Node]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a.prio >= b.prio:
-        return _mk(a.key, a.prio, a.left, _merge(a.right, b))
-    return _mk(b.key, b.prio, _merge(a, b.left), b.right)
-
-
-def _insert(node: Optional[_Node], key: int) -> _Node:
-    l, r = _split(node, key)
-    return _merge(_merge(l, _mk(key, splitmix64(key), None, None)), r)
-
-
-def _delete(node: Optional[_Node], key: int) -> Optional[_Node]:
-    l, rest = _split(node, key)
-    _, r = _split(rest, key + 1)
-    return _merge(l, r)
-
-
-def _count_less(node: Optional[_Node], key: int) -> int:
-    c = 0
-    while node is not None:
-        if node.key < key:
-            c += _size(node.left) + 1
-            node = node.right
-        else:
-            node = node.left
-    return c
-
-
-def _select(node: Optional[_Node], idx: int) -> int:
-    """Key with rank idx (0-based) among the node's keys."""
-    while node is not None:
-        ls = _size(node.left)
-        if idx < ls:
-            node = node.left
-        elif idx == ls:
-            return node.key
-        else:
-            idx -= ls + 1
-            node = node.right
-    raise IndexError("select index out of range")
-
-
-# ---------------------------------------------------------------------------
 # crossing events and the index
 
 
@@ -149,8 +71,9 @@ class CrossingEvent:
 @dataclass
 class CellIntersectionIndex:
     interval: Dict[int, Tuple[int, int]]  # line id -> (first rank, second rank)
+    # line id -> number of lines whose first event is inside its interval
+    # and whose second event is after it: the vertices it owns.
     pair_count: Dict[int, int]
-    snapshots: Dict[int, Optional[_Node]]  # line id -> tree before its deletion
     line_of_rank: Dict[int, int]  # first-event rank -> line id
     total_vertex_count: int
 
@@ -173,14 +96,30 @@ def _line_events(cell: ConvexCell, line: CanonicalLine, line_id: int) -> List[Cr
     return events
 
 
+def _fenwick_add(tree: List[int], rank: int, delta: int) -> None:
+    k = rank + 1
+    while k < len(tree):
+        tree[k] += delta
+        k += k & -k
+
+
+def _fenwick_prefix(tree: List[int], rank: int) -> int:
+    """Sum of the values at ranks < rank."""
+    s = 0
+    while rank:
+        s += tree[rank]
+        rank &= rank - 1
+    return s
+
+
 def build_index(cell: ConvexCell, lines: Sequence[CanonicalLine]) -> CellIntersectionIndex:
     """Boundary sweep building the vertex-counting/sampling index.
 
-    O(m log m): events are sorted counterclockwise; each line is inserted
-    into a persistent treap (keyed by its first-event rank) at its first
-    event; at its second event the lines stored with first event strictly
-    inside the interval are counted (these are exactly the lines crossing
-    it inside the cell) and the tree is snapshotted before deletion.
+    O(m log m): events are sorted counterclockwise; a Fenwick tree over
+    event ranks holds 1 at each open line's first event. At a line's
+    second event the open lines with first event strictly inside its
+    interval are counted (these cross it inside the cell, each crossing
+    counted at exactly one of its two lines), then the line is closed.
     """
     lines = list(lines)
     if len({l.coeffs() for l in lines}) != len(lines):
@@ -198,30 +137,24 @@ def build_index(cell: ConvexCell, lines: Sequence[CanonicalLine]) -> CellInterse
     first_rank: Dict[int, int] = {}
     interval: Dict[int, Tuple[int, int]] = {}
     pair_count: Dict[int, int] = {}
-    snapshots: Dict[int, Optional[_Node]] = {}
     line_of_rank: Dict[int, int] = {}
-    root: Optional[_Node] = None
-    total = 0
+    tree = [0] * (len(events) + 1)
     for rank, ev in enumerate(events):
         lid = ev.line_id
         if lid not in first_rank:
             first_rank[lid] = rank
             line_of_rank[rank] = lid
-            root = _insert(root, rank)
+            _fenwick_add(tree, rank, 1)
         else:
             i = first_rank[lid]
             interval[lid] = (i, rank)
-            c = _count_less(root, rank) - _count_less(root, i + 1)
-            pair_count[lid] = c
-            total += c
-            snapshots[lid] = root
-            root = _delete(root, i)
+            pair_count[lid] = _fenwick_prefix(tree, rank) - _fenwick_prefix(tree, i + 1)
+            _fenwick_add(tree, i, -1)
     return CellIntersectionIndex(
         interval=interval,
         pair_count=pair_count,
-        snapshots=snapshots,
         line_of_rank=line_of_rank,
-        total_vertex_count=total,
+        total_vertex_count=sum(pair_count.values()),
     )
 
 
@@ -233,9 +166,10 @@ def count_vertices(index: CellIntersectionIndex) -> int:
 def sample_vertex(index: CellIntersectionIndex, rng) -> Tuple[int, int]:
     """Uniformly random interior vertex, as an unordered pair of line ids.
 
-    Picks a line with probability pair_count/total, then an order-statistic
-    select in the snapshot taken at that line's second event. ``rng`` needs
-    an ``integers(lo, hi)`` method (e.g. numpy Generator).
+    Picks a line with probability pair_count/total, then the r-th line, in
+    first-event order, that it counted: first event strictly inside its
+    interval, second event after it. O(m) per draw. ``rng`` needs an
+    ``integers(lo, hi)`` method (e.g. numpy Generator).
     """
     total = index.total_vertex_count
     if total < 1:
@@ -246,10 +180,8 @@ def sample_vertex(index: CellIntersectionIndex, rng) -> Tuple[int, int]:
             break
         r -= c
     i, j = index.interval[lid]
-    snap = index.snapshots[lid]
-    base = _count_less(snap, i + 1)
-    key = _select(snap, base + r)
-    other = index.line_of_rank[key]
+    opened = (index.line_of_rank.get(k) for k in range(i + 1, j))
+    other = [o for o in opened if o is not None and index.interval[o][1] > j][r]
     return (min(lid, other), max(lid, other))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -228,18 +228,6 @@ class StudyRow:
     max_active_per_line: int
     wall_time_ms: Optional[float] = None
 
-    FIELDS = (
-        "n",
-        "trial",
-        "seed",
-        "separator_size",
-        "grid_N",
-        "colliding_pairs",
-        "active_cells",
-        "max_active_per_line",
-        "wall_time_ms",
-    )
-
 
 @dataclass
 class StudyTable:
@@ -252,11 +240,10 @@ class StudyTable:
 
         fh.write("# schema=1\n")
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(StudyRow.FIELDS)
+        names = [f.name for f in fields(StudyRow)]
+        w.writerow(names)
         for r in self.rows:
-            w.writerow(
-                ["" if getattr(r, f) is None else getattr(r, f) for f in StudyRow.FIELDS]
-            )
+            w.writerow(["" if getattr(r, f) is None else getattr(r, f) for f in names])
 
     def summary(self) -> dict:
         by_n: Dict[int, List[StudyRow]] = {}

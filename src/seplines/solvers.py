@@ -191,7 +191,7 @@ def _assert_separates(P: PointSet, L: Sequence[CanonicalLine], mode: SeparationM
 def _exact_pool(P: PointSet, mode: SeparationMode):
     """Realized variant lines with exact pair-coverage bitmasks, deduplicated
     and dominance-filtered. Returns (entries, pair_count) where each entry
-    is (coeff_key, mask, line)."""
+    is (mask, line), in the lines' coefficient order."""
     pairs = P.pairs()
     variants = _STRICT_VARIANTS if mode is SeparationMode.STRICT else _RELAXED_VARIANTS
     pool = [realize_variant(P, i, j, su, sv) for i, j in pairs for su, sv in variants]
@@ -212,8 +212,7 @@ def _exact_pool(P: PointSet, mode: SeparationMode):
     H = hit[:, ids].astype(np.float32)
     size = H.sum(axis=0)
     dominated = ((H.T @ H == size[:, None]) & (size > size[:, None])).any(axis=1)
-    keep = [(pool[e].coeffs(), masks[e], pool[e]) for e in ids[~dominated].tolist()]
-    keep.sort(key=lambda e: e[0])
+    keep = [(masks[e], pool[e]) for e in ids[~dominated].tolist()]
     return keep, len(pairs)
 
 
@@ -252,7 +251,7 @@ def exact_separability(
     for k, (i, j) in enumerate(P.pairs()):
         inc[i] |= 1 << k
         inc[j] |= 1 << k
-    masks = [e[1] for e in entries]
+    masks = [e[0] for e in entries]
     # Per-pair covering entries and entry-set bitmasks.
     cover: List[List[int]] = [[] for _ in range(n_pairs)]
     cover_bits = [0] * n_pairs
@@ -328,10 +327,10 @@ def exact_separability(
     for t in range(lb, ub):
         chosen.clear()
         if dfs(0, t):
-            witness = [entries[ei][2] for ei in chosen]
+            witness = [entries[ei][1] for ei in chosen]
             _assert_separates(P, witness, mode, "exact_separability")
             return t, witness
-    witness = [entries[ei][2] for ei in ub_witness]
+    witness = [entries[ei][1] for ei in ub_witness]
     _assert_separates(P, witness, mode, "exact_separability")
     return ub, witness
 

@@ -159,7 +159,7 @@ def ref_exact_pool(P, mode):
     entries = list(by_mask.values())
     keep = [e for e in entries if not any(e[1] != o[1] and e[1] | o[1] == o[1] for o in entries)]
     keep.sort(key=lambda e: e[0])
-    return keep, len(pairs)
+    return [(mask, line) for _, mask, line in keep], len(pairs)
 
 
 # ---------------------------------------------------------------------------
