@@ -16,6 +16,7 @@ study commands; aggregation is order-independent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .geom import CanonicalLine
 from .sepsys import PointSet, PreconditionError, SeparationMode, find_unseparated_pair, int_str
@@ -44,8 +45,24 @@ class ParseFileError(ValueError):
     pass
 
 
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _rows(path: str, fields: str) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, tokens) of each row of a table file, ``#`` comments
+    stripped and blank rows skipped; a read error or a row without one
+    token per name in ``fields`` raises ParseFileError."""
+    want = len(fields.split())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                toks = raw.split("#", 1)[0].split()
+                if not toks:
+                    continue
+                if len(toks) != want:
+                    raise ParseFileError(
+                        f"{path}:{lineno}: expected '{fields}', got {len(toks)} fields"
+                    )
+                yield lineno, toks
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseFileError(f"cannot read {path}: {e}")
 
 
 # An ASCII integer or p/q token; any other token goes through Fraction(str).
@@ -70,27 +87,15 @@ def parse_point_file(path: str) -> PointSet:
     xd: List[int] = []
     yn: List[int] = []
     yd: List[int] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                body = _strip(raw)
-                if not body:
-                    continue
-                toks = body.split()
-                if len(toks) != 2:
-                    raise ParseFileError(
-                        f"{path}:{lineno}: expected 'x y', got {len(toks)} fields"
-                    )
-                try:
-                    (px, qx), (py, qy) = _coord(toks[0]), _coord(toks[1])
-                except (ValueError, ZeroDivisionError) as e:
-                    raise ParseFileError(f"{path}:{lineno}: bad coordinate: {e}")
-                xn.append(px)
-                xd.append(qx)
-                yn.append(py)
-                yd.append(qy)
-    except (OSError, UnicodeDecodeError) as e:
-        raise ParseFileError(f"cannot read {path}: {e}")
+    for lineno, (tx, ty) in _rows(path, "x y"):
+        try:
+            (px, qx), (py, qy) = _coord(tx), _coord(ty)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ParseFileError(f"{path}:{lineno}: bad coordinate: {e}")
+        xn.append(px)
+        xd.append(qx)
+        yn.append(py)
+        yd.append(qy)
     try:
         return PointSet.from_ratios(xn, xd, yn, yd)
     except ValueError as e:
@@ -99,27 +104,15 @@ def parse_point_file(path: str) -> PointSet:
 
 def parse_line_file(path: str) -> List[CanonicalLine]:
     lines: List[CanonicalLine] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                body = _strip(raw)
-                if not body:
-                    continue
-                toks = body.split()
-                if len(toks) != 3:
-                    raise ParseFileError(
-                        f"{path}:{lineno}: expected 'a b c', got {len(toks)} fields"
-                    )
-                try:
-                    a, b, c = (int(t) for t in toks)
-                except ValueError as e:
-                    raise ParseFileError(f"{path}:{lineno}: bad coefficient: {e}")
-                try:
-                    lines.append(CanonicalLine.from_ints(a, b, c))
-                except ValueError as e:
-                    raise ParseFileError(f"{path}:{lineno}: invalid line: {e}")
-    except (OSError, UnicodeDecodeError) as e:
-        raise ParseFileError(f"cannot read {path}: {e}")
+    for lineno, toks in _rows(path, "a b c"):
+        try:
+            a, b, c = (int(t) for t in toks)
+        except ValueError as e:
+            raise ParseFileError(f"{path}:{lineno}: bad coefficient: {e}")
+        try:
+            lines.append(CanonicalLine.from_ints(a, b, c))
+        except ValueError as e:
+            raise ParseFileError(f"{path}:{lineno}: invalid line: {e}")
     return lines
 
 
@@ -224,11 +217,11 @@ def cmd_study(args) -> int:
         rep = ex.heavy_ball_bounds_check(
             args.n_balls, args.n_bins, args.i, args.trials, args.seed
         )
-        _emit_json(rep.as_dict())
+        _emit_json(dataclasses.asdict(rep))
         return EXIT_OK
     elif args.what == "birthday":
         rep = ex.birthday_max_check(args.n_balls, args.c, args.trials, args.seed)
-        _emit_json(rep.as_dict())
+        _emit_json(dataclasses.asdict(rep))
         return EXIT_OK
     else:  # pragma: no cover
         raise ParseFileError(f"unknown study {args.what}")

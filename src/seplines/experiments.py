@@ -85,9 +85,6 @@ class HeavyBallReport:
     bound_hi: float
     verdict: Optional[bool]  # None when n_balls == 0 (trivially skipped)
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def heavy_ball_bounds_check(
     n_balls: int, n_bins: int, i: int, trials: int, seed: int
@@ -135,9 +132,6 @@ class BirthdayReport:
     max_bins_ge2: int
     ratio: float  # max_bins_ge2 / (ln n / ln ln n)
     max_colliding_pairs: int
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def birthday_max_check(n_balls: int, c: float, trials: int, seed: int) -> BirthdayReport:

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import CanonicalLine, Point, line_through, orient, sign
+from .geom import CanonicalLine, Point, line_through, sign
 from .sepsys import (
     PointSet, PreconditionError, SeparationMode, find_unseparated_pair, int_str, key_groups,
     line_signs, sign_keys,
@@ -68,26 +68,7 @@ def _split_face(face: Face, line: CanonicalLine) -> Tuple[Optional[Face], Option
             neg.append(cut)
             pos.append(cut)
 
-    def clean(poly: List[Point]) -> Optional[Face]:
-        out: List[Point] = []
-        for p in poly:
-            if not out or p != out[-1]:
-                out.append(p)
-        if len(out) > 1 and out[0] == out[-1]:
-            out.pop()
-        if len(out) < 3:
-            return None
-        # Drop collinear vertices so each face stays strictly convex.
-        kept: List[Point] = []
-        m = len(out)
-        for i in range(m):
-            if orient(out[(i - 1) % m], out[i], out[(i + 1) % m]) != 0:
-                kept.append(out[i])
-        if len(kept) < 3:
-            return None
-        return tuple(kept)
-
-    return clean(neg), clean(pos)
+    return tuple(neg), tuple(pos)
 
 
 @dataclass
@@ -115,10 +96,13 @@ class ClippedArrangement:
 
 
 def build_arrangement(lines: Sequence[CanonicalLine], box: Box) -> ClippedArrangement:
-    """Incremental exact construction: successively split every face
-    crossed by each line. Faces are ccw convex vertex cycles that tile the
-    box; the Euler relation V - E + F = 2 holds on the result. Each face
-    records its sign vector: the side of each line its interior lies on."""
+    """Incremental exact construction: split every face crossed by each
+    distinct line. Faces are strictly convex ccw vertex cycles that tile the
+    box (V - E + F = 2), each with its sign vector: the side of each line its
+    interior lies on. They stay strictly convex with no clean-up: a line with
+    vertices strictly on both sides of a face meets its boundary at two
+    distinct points, vertices or cuts inside edges, so each piece keeps an
+    off-line vertex and no three consecutive collinear vertices."""
     if len(lines) > ARRANGEMENT_LINE_CAP:
         raise ArrangementCapError(
             f"arrangement capped at {ARRANGEMENT_LINE_CAP} lines, got {len(lines)}"
@@ -128,13 +112,8 @@ def build_arrangement(lines: Sequence[CanonicalLine], box: Box) -> ClippedArrang
         raise ValueError("box must have positive extent")
     faces: List[Face] = [_box_face(box)]
     signs: List[Tuple[int, ...]] = [()]
-    kept: List[CanonicalLine] = []
-    seen = set()
-    for line in lines:
-        if line.coeffs() in seen:
-            continue
-        seen.add(line.coeffs())
-        kept.append(line)
+    kept = list(dict.fromkeys(lines))
+    for line in kept:
         nxt: List[Face] = []
         nxt_signs: List[Tuple[int, ...]] = []
         for f, sv in zip(faces, signs):
@@ -303,7 +282,7 @@ def build_partition(
             point_lists=lists,
             source_sample_size=want,
             sampled_lines=chosen,
-            conforming=max((len(pl) for pl in lists), default=0) <= max(cap, 1),
+            conforming=max((len(pl) for pl in lists), default=0) <= cap,
             boundary_ties=ties,
             attempts=attempt,
             box=box,

@@ -174,15 +174,14 @@ class PointSet:
         return self._int_coords
 
     @cached_property
-    def int_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray, int, int]]:
-        """(X, Y, max |X|, max |Y|) with X, Y the int_coords as int64
-        arrays, or None if some coordinate needs more than 62 bits."""
+    def int_arrays(self) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """(X, Y, max |X|, max |Y|) with X, Y the int_coords as int64 arrays
+        if every coordinate fits in 62 bits, else object arrays of Python ints."""
         xs, ys, _ = self._int_coords
         xmax = max(map(abs, xs), default=0)
         ymax = max(map(abs, ys), default=0)
-        if max(xmax, ymax) >= 2 ** 62:
-            return None
-        return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), xmax, ymax
+        dtype = np.int64 if max(xmax, ymax) < 2 ** 62 else object
+        return np.array(xs, dtype=dtype), np.array(ys, dtype=dtype), xmax, ymax
 
     def float_coords(self) -> Tuple[np.ndarray, np.ndarray]:
         """Float64 x and y arrays for the kernels: float_array of the
@@ -191,9 +190,9 @@ class PointSet:
         correctly rounded, gives the same floats as float(Fraction)."""
         if self._float_coords is None:
             xs, ys, d = self._int_coords
-            arrs = self.int_arrays
-            if arrs is not None and max(arrs[2], arrs[3], d) <= 2 ** 53:
-                self._float_coords = (arrs[0] / d, arrs[1] / d)
+            X, Y, xmax, ymax = self.int_arrays
+            if max(xmax, ymax, d) <= 2 ** 53:
+                self._float_coords = (X / d, Y / d)
             else:
                 self._float_coords = (float_array([Fraction(x, d) for x in xs]),
                                       float_array([Fraction(y, d) for y in ys]))
@@ -237,19 +236,15 @@ def _line_coeffs(P: PointSet, I: np.ndarray, J: np.ndarray) -> Tuple[np.ndarray,
     p > 0 or p = 0 < q, and c = -(p*X_i + q*Y_i), the line is
     (p*D, q*D, c) / g with g = gcd(D, c): gcd(p, q) = 1, so g is the gcd
     of all three."""
-    xs, ys, d = P.int_coords()
-    arrs = P.int_arrays
-    if arrs is None:
-        X, Y = np.array(xs, dtype=object), np.array(ys, dtype=object)
-    else:
-        X, Y, xmax, ymax = arrs
+    d = P.int_coords()[2]
+    X, Y, xmax, ymax = P.int_arrays
     xi, yi = X[I], Y[I]
     p, q = Y[J] - yi, xi - X[J]
     h = np.gcd(p, q)
     h[(p < 0) | ((p == 0) & (q < 0))] *= -1
     p, q = p // h, q // h
-    M = 0 if arrs is None else max(xmax, ymax)
-    if arrs is None or 4 * M * M >= 2 ** 63 or 2 * M * d >= 2 ** 63:
+    M = max(xmax, ymax)
+    if 4 * M * M >= 2 ** 63 or 2 * M * d >= 2 ** 63:
         p, q, xi, yi = (v.astype(object) for v in (p, q, xi, yi))
     c = -(p * xi + q * yi)
     g = np.gcd(c, d)
@@ -405,20 +400,18 @@ def _family_slots(P: PointSet, pts: np.ndarray, direction: Tuple[int, int], fam)
     parallel lines: lo counts the lines with the point on their positive
     side, hi - lo is 1 if the point lies on one of them, else 0."""
     p, q = direction
-    xs, ys, d = P.int_coords()
+    d = P.int_coords()[2]
+    xmax, ymax = P.int_arrays[2:]
     # Line k is g_k * (p, q) + c_k, so a*x + b*y + c has the sign of
     # G*(p*X + q*Y) - T_k with G = lcm(g_k) and T_k = -c_k * D * G / g_k.
     scale = [(l.a // p) if p else (l.b // q) for l in fam]
     G = math.lcm(*scale)
     T = sorted(-l.c * d * (G // g) for l, g in zip(fam, scale))
-    if P.int_arrays is not None:
-        X, Y, xmax, ymax = P.int_arrays
-        if max(G * (abs(p) * xmax + abs(q) * ymax + 1), -T[0], T[-1]) < 2 ** 62:
-            keys, T = G * (p * X[pts] + q * Y[pts]), np.array(T, dtype=np.int64)
-            return np.searchsorted(T, keys, "left"), np.searchsorted(T, keys, "right")
-    # Some key or offset needs more than 62 bits: compare Python ints.
-    keys = np.array([G * (p * xs[i] + q * ys[i]) for i in pts.tolist()], dtype=object)
-    T = np.array(T, dtype=object)
+    # int64 when every coordinate, G, p, q, key and offset fits in 62 bits.
+    top = max(G * (abs(p) * (xmax + 1) + abs(q) * (ymax + 1)), xmax, ymax, -T[0], T[-1])
+    dtype = np.int64 if top < 2 ** 62 else object
+    X, Y = (np.asarray(V[pts], dtype) for V in P.int_arrays[:2])
+    keys, T = G * (p * X + q * Y), np.array(T, dtype=dtype)
     return np.searchsorted(T, keys, "left"), np.searchsorted(T, keys, "right")
 
 

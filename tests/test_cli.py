@@ -109,6 +109,29 @@ def test_line_file_parsing(tmp_path):
         parse_line_file(str(f))
 
 
+LINE_FILE_ERRORS = {
+    "field-count": (b"# header\n1 0 0  # x = 0\n2 0\n", "{}:3: expected 'a b c', got 2 fields"),
+    "fraction": (b"1 0 0.5\n", "{}:1: bad coefficient: invalid literal for int() with base 10: '0.5'"),
+    "degenerate": (b"0 0 1\n", "{}:1: invalid line: degenerate line: a = b = 0"),
+    "missing": (None, "cannot read {0}: [Errno 2] No such file or directory: '{0}'"),
+    "not-utf-8": (
+        b"1 0 0\n\xff\n",
+        "cannot read {}: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_FILE_ERRORS))
+def test_line_file_error_messages(tmp_path, name):
+    data, want = LINE_FILE_ERRORS[name]
+    f = tmp_path / "l.txt"
+    if data is not None:
+        f.write_bytes(data)
+    with pytest.raises(ParseFileError) as got:
+        parse_line_file(str(f))
+    assert str(got.value) == want.format(f)
+
+
 # ---------------------------------------------------------------------------
 # solve / verify
 

@@ -1,16 +1,19 @@
+import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from seplines.geom import CanonicalLine, Point, line_through, orient, pt, sign
+from seplines.geom import CanonicalLine, Point, intersect_lines, line_through, orient, pt, sign
 from seplines.partition2d import (
     ArrangementCapError,
     NotSeparatingError,
     Partition,
     _assign_points,
+    _box_face,
     _face_area2,
     _tri_area2,
     bounding_box,
@@ -345,3 +348,76 @@ def test_stabbing_stats_matches_reference(scale):
         test_lines.append(line_through(v, w))
     assert stabbing_stats(part, test_lines) == _ref_stabbing_stats(part, test_lines)
     assert stabbing_stats(part, []) == (0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# faces of degenerate arrangements
+
+
+def _degenerate_lines(seed, m):
+    """m lines, duplicates included, most of them through the box corners
+    or earlier vertices, or parallel to the box edges (the edges too)."""
+    rng = random.Random(seed)
+    corners = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
+    verts = list(corners)
+    lines = []
+    while len(lines) < m:
+        kind = rng.randrange(5)
+        grid = pt(Fraction(rng.randrange(-3, 10), 6), Fraction(rng.randrange(-3, 10), 6))
+        if kind == 0:  # parallel to an edge
+            k = Fraction(rng.randrange(9), 8)
+            line = CanonicalLine.from_coeffs(*rng.choice([(1, 0), (0, 1)]), -k)
+        elif kind == 1 and lines:  # a duplicate
+            lines.append(rng.choice(lines))
+            continue
+        else:  # through a corner, a vertex or a grid point, and another
+            p = rng.choice(corners if kind == 2 else verts)
+            q = rng.choice(verts) if kind == 3 else grid
+            if p == q:
+                continue
+            line = line_through(p, q)
+        for other in lines:
+            v = intersect_lines(line, other)
+            if v is not None and 0 <= v.x <= 1 and 0 <= v.y <= 1:
+                verts.append(v)
+        lines.append(line)
+    return lines
+
+
+def _assert_faces_strictly_convex(arr):
+    for f in arr.faces:
+        t = len(f)
+        assert t >= 3 and len(set(f)) == t
+        assert all(orient(f[i - 1], f[i], f[(i + 1) % t]) > 0 for i in range(t))
+    assert arr.euler_ok()
+    assert sum(_face_area2(f) for f in arr.faces) == _face_area2(_box_face(arr.box))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_degenerate_arrangement_faces_strictly_convex(seed):
+    lines = _degenerate_lines(seed, 4 + seed % 11)
+    arr = build_arrangement(lines, UNIT_BOX)
+    assert arr.lines == list(dict.fromkeys(lines))
+    _assert_faces_strictly_convex(arr)
+    for f, sv in zip(arr.faces, arr.signs):
+        assert all(s * sign(l.eval_at(v)) >= 0 for l, s in zip(arr.lines, sv) for v in f)
+    # The same lines in a box whose edges they may cross or touch.
+    box = (Fraction(-1, 6), Fraction(0), Fraction(7, 6), Fraction(4, 3))
+    _assert_faces_strictly_convex(build_arrangement(lines, box))
+
+
+def _faces_digest(arr):
+    text = "|".join(
+        ";".join(f"{v.x},{v.y}" for v in f) + ":" + ",".join(map(str, sv))
+        for f, sv in zip(arr.faces, arr.signs)
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,m,digest", [
+    (5, 14, "a42085fcdb54d1c80a5a9cd25d7d64b2703d718d0ac9be4642cef2acb5f980f4"),
+    (17, 18, "54084c834a2dbfcbe422401784536ef09a83cc2dd747a9f19d5af68be8ec3d47"),
+])
+def test_degenerate_arrangement_faces_pinned(seed, m, digest):
+    arr = build_arrangement(_degenerate_lines(seed, m), UNIT_BOX)
+    assert _faces_digest(arr) == digest

@@ -5,6 +5,7 @@ collinear points, points on lines, duplicate lines, parallel families,
 stars of lines through one point and 400-digit coefficients. The block
 step of `refine`, one exact key per point copy, is checked against the
 one-line split it replaced."""
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,12 +14,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from seplines.experiments import max_face_load
+from seplines.experiments import max_face_load, random_points
 from seplines.geom import CanonicalLine, Point, sign
 from seplines.sepsys import (
     _KERNEL_THRESHOLD,
     PointSet,
     SeparationMode,
+    _family_slots,
     _split_block,
     find_unseparated_pair,
     key_groups,
@@ -266,3 +268,73 @@ def test_split_block_matches_one_line_splits(mode):
 def test_key_groups_of_zero_width_rows():
     first, inv = key_groups(sign_keys(np.zeros((3, 0), dtype=np.int8)))
     assert first.tolist() == [0] and inv.tolist() == [0, 0, 0]
+
+
+def brute_family_slots(P, pts, fam):
+    """(lo, hi) of each point by exact Python-int values: lo lines with the
+    point on their positive side, hi - lo lines through it."""
+    xs, ys, d = P.int_coords()
+    vals = [[l.a * xs[i] + l.b * ys[i] + l.c * d for l in fam] for i in pts.tolist()]
+    return [sum(v > 0 for v in row) for row in vals], [sum(v >= 0 for v in row) for row in vals]
+
+
+def family_slot_cases(P):
+    """Families of 2..9 distinct lines 3x - 2y + c = 0, some through
+    points of P and some between them; point index arrays with repeats,
+    as refine passes its copies."""
+    rng = random.Random(3)
+    a, b = 3, -2
+    for _ in range(12):
+        fam = []
+        for _ in range(rng.randrange(2, 10)):
+            p = P[rng.randrange(len(P))]
+            c = -(a * p.x + b * p.y)
+            if rng.random() < 0.5:
+                c += Fraction(rng.randrange(-3, 4), rng.choice([1, 2, 5])) * (abs(a) + abs(b))
+            fam.append(CanonicalLine.from_coeffs(a, b, c))
+        fam = list(dict.fromkeys(fam))
+        if len(fam) >= 2:
+            pts = np.array([rng.randrange(len(P)) for _ in range(2 * len(P))], dtype=np.int64)
+            yield pts, fam
+
+
+@pytest.mark.parametrize("regime", ["int64 keys", "keys past 2^62", "coordinates past 2^62"])
+def test_family_slots_match_python_ints(regime):
+    """Keys G * (p*X + q*Y), with G the lcm of the lines' gcd(a, b), reach
+    past 2^62 on the 2^40 grid: a line through a point there has
+    gcd(a, b) up to 2^40, as the properized strict outputs do."""
+    if regime == "int64 keys":
+        rng = random.Random(1)
+        P = PointSet(list(dict.fromkeys(
+            Point(Fraction(rng.randrange(98), 97), Fraction(rng.randrange(98), 97)) for _ in range(40)
+        )))
+    else:
+        P = random_points(40, 5)
+    if regime == "coordinates past 2^62":
+        P = PointSet([Point(p.x * 10 ** 25 + 1, p.y * 10 ** 25) for p in P])
+    xs, ys, d = P.int_coords()
+    assert (max(map(abs, xs + ys)) >= 2 ** 62) == (regime == "coordinates past 2^62")
+    keys_big = on_line = False
+    for pts, fam in family_slot_cases(P):
+        lo, hi = _family_slots(P, pts, (3, -2), fam)
+        assert (lo.tolist(), hi.tolist()) == brute_family_slots(P, pts, fam)
+        on_line |= bool((hi > lo).any())
+        G = math.lcm(*(math.gcd(l.a, l.b) for l in fam))
+        keys_big |= max(abs(G * (3 * x - 2 * y)) for x, y in zip(xs, ys)) >= 2 ** 62
+    assert on_line and keys_big == (regime != "int64 keys")
+
+
+@pytest.mark.parametrize("case", ["direction", "coordinates"])
+def test_family_slots_one_factor_past_int64(case):
+    """Small keys from a factor past int64: p = 2^70 where every X is 0,
+    or X up to 2 * 10^25 where p is 0."""
+    if case == "direction":
+        P = PointSet([Point(0, k) for k in range(3)])
+        fam, direction = [CanonicalLine(2 ** 71, 2, -1), CanonicalLine(2 ** 71, 2, -3)], (2 ** 70, 1)
+    else:
+        P = PointSet([Point(k * 10 ** 25, k) for k in range(3)])
+        fam, direction = [CanonicalLine(0, 2, -1), CanonicalLine(0, 2, -3)], (0, 1)
+    pts = np.arange(3)
+    lo, hi = _family_slots(P, pts, direction, fam)
+    assert (lo.tolist(), hi.tolist()) == brute_family_slots(P, pts, fam)
+    assert find_unseparated_pair(P, fam, STRICT) is None
