@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .geom import CanonicalLine, Point, orient, sign
+from .geom import CanonicalLine, Point, common_denominator, orient
 
 
 class DegeneracyError(ValueError):
@@ -78,9 +78,22 @@ class CellIntersectionIndex:
     total_vertex_count: int
 
 
-def _line_events(cell: ConvexCell, line: CanonicalLine, line_id: int) -> List[CrossingEvent]:
-    vals = [line.eval_at(v) for v in cell.vertices]
-    if any(v == 0 for v in vals):
+def _cleared(cell: ConvexCell) -> Tuple[int, List[int], List[int]]:
+    """(D, X, Y): the cell's vertices are (X[i]/D, Y[i]/D), D the common
+    denominator of their coordinates."""
+    D = common_denominator(cell.vertices)
+    return D, [int(v.x * D) for v in cell.vertices], [int(v.y * D) for v in cell.vertices]
+
+
+def _line_events(
+    cleared: Tuple[int, List[int], List[int]], line: CanonicalLine, line_id: int
+) -> List[CrossingEvent]:
+    """The line's crossings of the boundary of the cell with vertices
+    _cleared(cell), from the signs of a*X + b*Y + c*D at its vertices."""
+    D, X, Y = cleared
+    a, b, c = line.coeffs()
+    vals = [a * x + b * y + c * D for x, y in zip(X, Y)]
+    if 0 in vals:
         raise DegeneracyError(
             f"line {line} passes through a vertex of the cell (or along an edge)"
         )
@@ -88,9 +101,8 @@ def _line_events(cell: ConvexCell, line: CanonicalLine, line_id: int) -> List[Cr
     k = len(vals)
     for e in range(k):
         va, vb = vals[e], vals[(e + 1) % k]
-        if sign(va) * sign(vb) == -1:
-            t = va / (va - vb)
-            events.append(CrossingEvent(e, t, line_id))
+        if (va < 0) != (vb < 0):
+            events.append(CrossingEvent(e, Fraction(va, va - vb), line_id))
     if len(events) not in (0, 2):
         raise DegeneracyError("inconsistent boundary crossing count")
     return events
@@ -124,9 +136,10 @@ def build_index(cell: ConvexCell, lines: Sequence[CanonicalLine]) -> CellInterse
     lines = list(lines)
     if len({l.coeffs() for l in lines}) != len(lines):
         raise ValueError("lines must be pairwise distinct")
+    cleared = _cleared(cell)
     events: List[CrossingEvent] = []
     for i, line in enumerate(lines):
-        events.extend(_line_events(cell, line, i))
+        events.extend(_line_events(cleared, line, i))
     events.sort(key=lambda ev: (ev.edge, ev.t, ev.line_id))
     for a, b in zip(events, events[1:]):
         if a.position() == b.position():
@@ -193,14 +206,9 @@ def brute_force_vertex_count(cell: ConvexCell, lines: Sequence[CanonicalLine]) -
     interior test reduces to integer sign checks against each edge once the
     cell vertices are cleared to a common denominator.
     """
-    from .geom import common_denominator
-
     lines = list(lines)
-    verts = cell.vertices
-    k = len(verts)
-    D = common_denominator(verts)
-    vx = [int(v.x * D) for v in verts]
-    vy = [int(v.y * D) for v in verts]
+    D, vx, vy = _cleared(cell)
+    k = len(vx)
     edges = [
         (vx[(e + 1) % k] - vx[e], vy[(e + 1) % k] - vy[e], vx[e], vy[e])
         for e in range(k)

@@ -10,8 +10,7 @@ is a decimal or ``p/q`` rational; ``#`` starts a comment. Line files: one
 
 All randomness flows from ``--seed``. Wall-clock fields are emitted only
 under ``--timing`` so that default outputs are byte-identical across
-re-runs. ``SEP_THREADS`` (0 = auto) controls trial parallelism in the
-study commands; aggregation is order-independent.
+re-runs.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -124,17 +122,6 @@ def _mode(name: str) -> SeparationMode:
     return SeparationMode.STRICT if name == "strict" else SeparationMode.RELAXED
 
 
-def _threads() -> int:
-    raw = os.environ.get("SEP_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ParseFileError(f"SEP_THREADS must be an integer, got {raw!r}")
-    if v < 0:
-        raise ParseFileError("SEP_THREADS must be >= 0")
-    return v if v > 0 else (os.cpu_count() or 1)
-
-
 def _open_out(path: str, newline: Optional[str] = None):
     try:
         return open(path, "w", encoding="utf-8", newline=newline)
@@ -196,35 +183,22 @@ def _parse_n_list(raw: str) -> List[int]:
 
 
 def cmd_study(args) -> int:
-    threads = _threads()
     if args.what == "scaling":
         tab = ex.scaling_study(
-            _parse_n_list(args.n),
-            trials=args.trials,
-            seed=args.seed,
-            timing=args.timing,
-            threads=threads,
+            _parse_n_list(args.n), trials=args.trials, seed=args.seed, timing=args.timing
         )
     elif args.what == "trelax":
-        tab = ex.trelax_study(
-            _parse_n_list(args.n),
-            t=args.t,
-            trials=args.trials,
-            seed=args.seed,
-            threads=threads,
-        )
+        tab = ex.trelax_study(_parse_n_list(args.n), t=args.t, trials=args.trials, seed=args.seed)
     elif args.what == "balls-bins":
         rep = ex.heavy_ball_bounds_check(
             args.n_balls, args.n_bins, args.i, args.trials, args.seed
         )
         _emit_json(dataclasses.asdict(rep))
         return EXIT_OK
-    elif args.what == "birthday":
+    else:
         rep = ex.birthday_max_check(args.n_balls, args.c, args.trials, args.seed)
         _emit_json(dataclasses.asdict(rep))
         return EXIT_OK
-    else:  # pragma: no cover
-        raise ParseFileError(f"unknown study {args.what}")
     if args.csv:
         with _open_out(args.csv, newline="") as fh:
             tab.write_csv(fh)

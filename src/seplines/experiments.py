@@ -360,54 +360,30 @@ def max_active_cells_per_line(active_ids: np.ndarray, N: int, n_lines: int, rng)
     return best
 
 
-def _run_trials(jobs, worker, threads: int) -> List[StudyRow]:
-    """Run (n, trial) jobs, optionally on a thread pool; rows come back
-    sorted by (n, trial) so aggregation is order-independent."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(worker, jobs))
-    else:
-        rows = [worker(j) for j in jobs]
-    rows.sort(key=lambda r: (r.n, r.trial))
-    return rows
-
-
-def _study_table(
-    kind: str, n_list: Sequence[int], trials: int, worker, threads: int
-) -> StudyTable:
-    """Check the study's sizes and trial count, run worker on every
-    (n, trial) job and fit the exponent of the mean separator size
-    against n."""
+def _study_table(kind: str, n_list: Sequence[int], trials: int, worker) -> StudyTable:
+    """Check the study's sizes and trial count, run worker(n, trial) for
+    every n and trial, in that order, and fit the exponent of the mean
+    separator size against n."""
     if list(n_list) != sorted(set(n_list)):
         raise PreconditionError("n_list must be ascending and duplicate-free")
     if n_list and n_list[0] < 1:
         raise PreconditionError(f"every n must be at least 1, got {n_list[0]}")
     if trials < 1:
         raise PreconditionError(f"trials must be at least 1, got {trials}")
-    rows = _run_trials([(n, t) for n in n_list for t in range(trials)], worker, threads)
-    by_n: Dict[int, List[int]] = {}
-    for r in rows:
-        by_n.setdefault(r.n, []).append(r.separator_size)
-    ns = sorted(by_n)
-    exponent = fit_exponent(ns, [float(np.mean(by_n[n])) for n in ns])
-    return StudyTable(kind=kind, rows=rows, fitted_exponent=exponent)
+    rows = [worker(n, t) for n in n_list for t in range(trials)]
+    sizes = np.array([r.separator_size for r in rows], dtype=np.float64)
+    means = sizes.reshape(len(n_list), trials).mean(axis=1)
+    return StudyTable(kind=kind, rows=rows, fitted_exponent=fit_exponent(n_list, means))
 
 
 def scaling_study(
-    n_list: Sequence[int],
-    trials: int,
-    seed: int,
-    timing: bool = False,
-    threads: int = 1,
+    n_list: Sequence[int], trials: int, seed: int, timing: bool = False
 ) -> StudyTable:
     """grid_separator sizes over random instances with N = ceil(n^(2/3)),
     plus active-cell and per-line crossing statistics, and the log-log
     fitted size exponent."""
 
-    def worker(job) -> StudyRow:
-        n, t = job
+    def worker(n: int, t: int) -> StudyRow:
         N = math.ceil(n ** (2 / 3))
         s = trial_seed(seed, t * 1_000_003 + n)
         t0 = time.perf_counter()
@@ -429,7 +405,7 @@ def scaling_study(
             wall_time_ms=round(elapsed, 3) if timing else None,
         )
 
-    return _study_table("scaling", n_list, trials, worker, threads)
+    return _study_table("scaling", n_list, trials, worker)
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +448,12 @@ def max_face_load(P: PointSet, lines: Sequence[CanonicalLine]) -> int:
     return max((len(c) for c in classes), default=1)
 
 
-def trelax_study(
-    n_list: Sequence[int], t: int, trials: int, seed: int, threads: int = 1
-) -> StudyTable:
+def trelax_study(n_list: Sequence[int], t: int, trials: int, seed: int) -> StudyTable:
     """t_relaxed_separator sizes over random instances; fitted exponent of
     the total line count vs n. Every output is verified to leave at most t
     points per face."""
 
-    def worker(job) -> StudyRow:
-        n, tr = job
+    def worker(n: int, tr: int) -> StudyRow:
         N = math.ceil(n ** ((t + 1) / (2 * t + 1)))
         s = trial_seed(seed, tr * 1_000_003 + n)
         P = random_points(n, s)
@@ -501,4 +474,4 @@ def trelax_study(
             max_active_per_line=0,
         )
 
-    return _study_table("trelax", n_list, trials, worker, threads)
+    return _study_table("trelax", n_list, trials, worker)

@@ -677,6 +677,12 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
     def side_of(a: int, b: int, c: int, w: int) -> int:
         return sign(a * xs[w] + b * ys[w] + c * d)
 
+    def two_cut(part: List[int], sides: Dict[int, int]) -> List[int]:
+        """The two points of part on the + side of the cutting line, or
+        else the two on its - side."""
+        pos = [w for w in part if sides[w] > 0]
+        return pos if len(pos) == 2 else [w for w in part if sides[w] < 0]
+
     def cut_two_and_two() -> Tuple[List[int], List[int], CanonicalLine]:
         active = active_L + active_R
         sub = P.subset(active)
@@ -702,18 +708,10 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
                     if 2 not in (lp, ln) or 2 not in (rp, rn):
                         continue
                     line = realize_variant(sub, ii, jj, su, sv)
-                    # Canonicalization may flip orientation relative to the
-                    # quick count above; derive the cut sets from the
-                    # realized sides directly.
+                    # The realized sides are the counted ones, all negated
+                    # when canonicalization flips the line, and none is 0.
                     sides = {w: side_of(*line.coeffs(), w) for w in active}
-                    for lside in (1, -1):
-                        cutL = [w for w in active_L if sides[w] == lside]
-                        if len(cutL) != 2:
-                            continue
-                        for rside in (1, -1):
-                            cutR = [w for w in active_R if sides[w] == rside]
-                            if len(cutR) == 2:
-                                return cutL, cutR, line
+                    return two_cut(active_L, sides), two_cut(active_R, sides), line
         raise GeneralPositionError("no 2+2 cutting line found (degenerate input)")
 
     while len(active_R) >= 3:

@@ -235,7 +235,7 @@ def test_criterion_08_birthday_bound():
 @pytest.mark.slow
 def test_criterion_09_scaling_exponent():
     t0 = time.perf_counter()
-    tab = ex.scaling_study([2 ** k for k in range(10, 18)], trials=5, seed=1, threads=2)
+    tab = ex.scaling_study([2 ** k for k in range(10, 18)], trials=5, seed=1)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     slope = tab.fitted_exponent
@@ -284,7 +284,7 @@ def test_criterion_11_partition_conformance():
 
 
 def test_criterion_12_t_relaxed_scaling():
-    tab = ex.trelax_study([2 ** k for k in range(12, 17)], t=2, trials=2, seed=1, threads=2)
+    tab = ex.trelax_study([2 ** k for k in range(12, 17)], t=2, trials=2, seed=1)
     slope = tab.fitted_exponent
     assert 0.55 <= slope <= 0.65, slope
     _report(12, f"t=2 fitted exponent {slope:.3f} in [0.55,0.65] (target 0.6)")

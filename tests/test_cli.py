@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -291,6 +292,26 @@ def test_study_byte_identical_rerun(tmp_path, capsys):
     assert c1.read_bytes() == c2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["scaling", "--n", "64,128,256"],
+         "be03703464e68cf537c1deb69f47fc34654b72a23d95cae44b82f8d27f64b70c"),
+        (["trelax", "--n", "256,512"],
+         "a046e68cf2c64b51442f2aa5136b4e11e6d1723ba045098c7b6e32e27b2ce59e"),
+    ],
+    ids=["scaling", "trelax"],
+)
+def test_study_output_pinned(tmp_path, capsys, argv, digest):
+    """sha256 of the summary JSON followed by the CSV, pinned so that a
+    change to how trials are run cannot change what a study prints."""
+    csv = tmp_path / "out.csv"
+    rc = main(["study", *argv, "--trials", "2", "--seed", "5", "--csv", str(csv)])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out + csv.read_bytes()).hexdigest() == digest
+
+
 def _subprocess_env():
     """The environment for running ``python -m seplines.cli`` on this
     checkout's sources."""
@@ -349,7 +370,6 @@ def test_greedy_output_independent_of_blas_threads(tmp_path, mode):
 def test_study_trelax_face_load_failure_exits_4(monkeypatch, capsys):
     from seplines import experiments as ex
 
-    monkeypatch.setenv("SEP_THREADS", "1")
     monkeypatch.setattr(ex, "max_face_load", lambda P, lines: len(P))
     rc = main(["study", "trelax", "--n", "64", "--t", "2", "--trials", "1"])
     assert rc == EXIT_INTERNAL

@@ -210,9 +210,9 @@ def test_scaling_study_single_n_has_no_exponent():
     assert tab.summary()["fitted_exponent"] is None
 
 
-def test_scaling_study_deterministic_and_thread_invariant():
+def test_scaling_study_deterministic():
     a = ex.scaling_study([64, 128], trials=2, seed=5)
-    b = ex.scaling_study([64, 128], trials=2, seed=5, threads=4)
+    b = ex.scaling_study([64, 128], trials=2, seed=5)
     assert a.rows == b.rows
 
 

@@ -8,13 +8,15 @@ import pytest
 from seplines.experiments import random_points
 from seplines.geom import CanonicalLine, pt, side
 from seplines.sepsys import (
-    PointSet, PreconditionError, SeparationMode, TooFewPointsError, properize,
+    PointSet, PreconditionError, SeparationMode, TooFewPointsError, candidate_lines,
+    line_signs, properize,
 )
 from seplines.solvers import (
     EXACT_SIZE_CAP,
     SizeCapError,
     WeightState,
     _capacity,
+    _pair_hits,
     exact_separability,
     greedy_hitting_set,
     grid_separator,
@@ -164,6 +166,57 @@ def test_reweight_output_is_irredundant():
     assert not res.fell_back and verify(P, lines, RELAXED)
     for i in range(len(lines)):
         assert not verify(P, lines[:i] + lines[i + 1 :], RELAXED), i
+
+
+def small_grid_points(seed):
+    """6..13 distinct points of a 4x4..6x6 integer grid: many collinear
+    triples, so many candidate lines pass through extra points."""
+    rng = np.random.default_rng(seed)
+    g = int(rng.integers(4, 7))
+    cells = rng.choice(g * g, int(rng.integers(6, 14)), replace=False)
+    xs, ys = (cells // g).tolist(), (cells % g).tolist()
+    return PointSet.from_ratios(xs, [g] * len(xs), ys, [g] * len(ys))
+
+
+def near_collinear_points(seed):
+    """Three triples of the 2^40 grid, the third point of each one unit of
+    orientation determinant off the line through the other two: too close
+    for the float kernel to give its sign."""
+    rng = np.random.default_rng(seed)
+    G = 2 ** 40
+    xs, ys = [], []
+    while len(xs) < 9:
+        x0, y0, dx, dy = (int(v) for v in rng.integers(2, G // 2, 4))
+        if math.gcd(dx, dy) == 1:
+            v = pow(dx, -1, dy)  # dx * v - dy * u = 1
+            xs += [x0, x0 + dx, x0 + (dx * v - 1) // dy]
+            ys += [y0, y0 + dy, y0 + v]
+    return PointSet.from_ratios(xs, [G] * 9, ys, [G] * 9)
+
+
+@pytest.mark.parametrize(
+    "make, collinear",
+    [
+        (small_grid_points, True),
+        (lambda seed: random_points(8 + seed % 8, seed), False),
+        (near_collinear_points, False),
+    ],
+    ids=["small-grid", "2^40-grid", "near-collinear"],
+)
+def test_pair_hits_match_exact_signs(make, collinear):
+    """_pair_hits(P, cand, (i, j)) is exactly the candidates on whose
+    exact signs i and j differ, extra points of a grouped line included."""
+    grouped = 0
+    for seed in range(30):
+        P = make(seed)
+        cand = candidate_lines(P)
+        grouped += len(cand.groups)
+        S = line_signs(P, cand.lines())
+        for i in range(len(P)):
+            for j in range(i + 1, len(P)):
+                want = np.flatnonzero(S[i] != S[j])
+                assert np.array_equal(_pair_hits(P, cand, (i, j)), want), (seed, i, j)
+    assert (grouped > 0) == collinear
 
 
 def test_reweight_negative_seed_is_precondition():
