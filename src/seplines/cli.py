@@ -184,11 +184,9 @@ def _parse_n_list(raw: str) -> List[int]:
 
 def cmd_study(args) -> int:
     if args.what == "scaling":
-        tab = ex.scaling_study(
-            _parse_n_list(args.n), trials=args.trials, seed=args.seed, timing=args.timing
-        )
+        tab = ex.scaling_study(_parse_n_list(args.n), args.trials, args.seed, args.timing)
     elif args.what == "trelax":
-        tab = ex.trelax_study(_parse_n_list(args.n), t=args.t, trials=args.trials, seed=args.seed)
+        tab = ex.trelax_study(_parse_n_list(args.n), args.t, args.trials, args.seed, args.timing)
     elif args.what == "balls-bins":
         rep = ex.heavy_ball_bounds_check(
             args.n_balls, args.n_bins, args.i, args.trials, args.seed

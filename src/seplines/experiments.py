@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geom import CanonicalLine, splitmix64
 from .sepsys import PointSet, PreconditionError, SeparationMode, refine, split_line
-from .solvers import VerificationError, cell_groups, grid_columns, grid_lines, grid_separator
+from .solvers import VerificationError, cell_groups, grid_columns, grid_lines
+from .solvers import grid_separator, grid_size
 # Not called here: sepbench/test_layers.py checks that its tracer rebinds them here too.
 from .sepsys import find_unseparated_pair  # noqa: F401
 from .solvers import halving_separator  # noqa: F401
@@ -228,6 +229,7 @@ class StudyTable:
     kind: str
     rows: List[StudyRow]
     fitted_exponent: Optional[float]
+    per_n: List[dict]
 
     def write_csv(self, fh) -> None:
         import csv
@@ -240,34 +242,7 @@ class StudyTable:
             w.writerow(["" if getattr(r, f) is None else getattr(r, f) for f in names])
 
     def summary(self) -> dict:
-        by_n: Dict[int, List[StudyRow]] = {}
-        for r in self.rows:
-            by_n.setdefault(r.n, []).append(r)
-        per_n = []
-        for n in sorted(by_n):
-            sizes = np.array([r.separator_size for r in by_n[n]], dtype=np.float64)
-            mean = float(sizes.mean())
-            sd = float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0
-            per_n.append(
-                {
-                    "n": n,
-                    "trials": len(sizes),
-                    "mean_size": mean,
-                    "ci99_half_width": 2.576 * sd / math.sqrt(len(sizes)),
-                    "mean_colliding_pairs": float(
-                        np.mean([r.colliding_pairs for r in by_n[n]])
-                    ),
-                    "mean_active_cells": float(
-                        np.mean([r.active_cells for r in by_n[n]])
-                    ),
-                    "max_active_per_line": max(r.max_active_per_line for r in by_n[n]),
-                }
-            )
-        return {
-            "kind": self.kind,
-            "fitted_exponent": self.fitted_exponent,
-            "per_n": per_n,
-        }
+        return {"kind": self.kind, "fitted_exponent": self.fitted_exponent, "per_n": self.per_n}
 
 
 def fit_exponent(ns: Sequence[int], means: Sequence[float]) -> Optional[float]:
@@ -360,52 +335,65 @@ def max_active_cells_per_line(active_ids: np.ndarray, N: int, n_lines: int, rng)
     return best
 
 
-def _study_table(kind: str, n_list: Sequence[int], trials: int, worker) -> StudyTable:
-    """Check the study's sizes and trial count, run worker(n, trial) for
-    every n and trial, in that order, and fit the exponent of the mean
-    separator size against n."""
+def _study_table(
+    kind: str, n_list: Sequence[int], trials: int, seed: int, t: int, separate,
+    test_lines: int = 0, timing: bool = False,
+) -> StudyTable:
+    """Run separate(P, N) on P = random_points(n, s), N = grid_size(n, t),
+    for every n and trial in that order, with P's cell counts on the N x N
+    grid (the per-line maximum only if test_lines > 0); summarize each n
+    and fit the exponent of the mean separator size against n."""
     if list(n_list) != sorted(set(n_list)):
         raise PreconditionError("n_list must be ascending and duplicate-free")
     if n_list and n_list[0] < 1:
         raise PreconditionError(f"every n must be at least 1, got {n_list[0]}")
     if trials < 1:
         raise PreconditionError(f"trials must be at least 1, got {trials}")
-    rows = [worker(n, t) for n in n_list for t in range(trials)]
-    sizes = np.array([r.separator_size for r in rows], dtype=np.float64)
-    means = sizes.reshape(len(n_list), trials).mean(axis=1)
-    return StudyTable(kind=kind, rows=rows, fitted_exponent=fit_exponent(n_list, means))
+    rows = []
+    for n in n_list:
+        N = grid_size(n, t)
+        for trial in range(trials):
+            s = trial_seed(seed, trial * 1_000_003 + n)
+            t0 = time.perf_counter()
+            P = random_points(n, s)
+            lines = separate(P, N)
+            wall = round((time.perf_counter() - t0) * 1000.0, 3) if timing else None
+            pairs, cells = cell_counts(*P.int_coords(), N)
+            crossed = 0
+            if test_lines > 0:
+                mrng = np.random.default_rng(trial_seed(s, 1))
+                crossed = max_active_cells_per_line(cells, N, test_lines, mrng)
+            rows.append(StudyRow(n, trial, s, len(lines), N, pairs, len(cells), crossed, wall))
+    sizes, colliding, active, mact = (
+        np.array([getattr(r, f) for r in rows]).reshape(len(n_list), trials)
+        for f in ("separator_size", "colliding_pairs", "active_cells", "max_active_per_line")
+    )
+    means = sizes.mean(axis=1)
+    sd = sizes.std(axis=1, ddof=1) if trials > 1 else np.zeros(len(n_list))
+    per_n = [
+        {
+            "n": n,
+            "trials": trials,
+            "mean_size": float(means[k]),
+            "ci99_half_width": 2.576 * float(sd[k]) / math.sqrt(trials),
+            "mean_colliding_pairs": float(colliding[k].mean()),
+            "mean_active_cells": float(active[k].mean()),
+            "max_active_per_line": int(mact[k].max()),
+        }
+        for k, n in enumerate(n_list)
+    ]
+    return StudyTable(kind, rows, fit_exponent(n_list, means), per_n)
 
 
 def scaling_study(
     n_list: Sequence[int], trials: int, seed: int, timing: bool = False
 ) -> StudyTable:
-    """grid_separator sizes over random instances with N = ceil(n^(2/3)),
+    """grid_separator sizes over random instances with N = grid_size(n),
     plus active-cell and per-line crossing statistics, and the log-log
     fitted size exponent."""
-
-    def worker(n: int, t: int) -> StudyRow:
-        N = math.ceil(n ** (2 / 3))
-        s = trial_seed(seed, t * 1_000_003 + n)
-        t0 = time.perf_counter()
-        P = random_points(n, s)
-        lines = grid_separator(P, N)
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        colliding, active_ids = cell_counts(*P.int_coords(), N)
-        mrng = np.random.default_rng(trial_seed(s, 1))
-        mact = max_active_cells_per_line(active_ids, N, STUDY_TEST_LINES, mrng)
-        return StudyRow(
-            n=n,
-            trial=t,
-            seed=s,
-            separator_size=len(lines),
-            grid_N=N,
-            colliding_pairs=colliding,
-            active_cells=len(active_ids),
-            max_active_per_line=mact,
-            wall_time_ms=round(elapsed, 3) if timing else None,
-        )
-
-    return _study_table("scaling", n_list, trials, worker)
+    return _study_table(
+        "scaling", n_list, trials, seed, 1, grid_separator, STUDY_TEST_LINES, timing
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +401,14 @@ def scaling_study(
 
 
 def t_relaxed_separator(P: PointSet, t: int) -> List[CanonicalLine]:
-    """Grid with N = ceil(n^((t+1)/(2t+1))); any cell holding more than t
+    """Grid with N = grid_size(n, t); any cell holding more than t
     points is split recursively by median lines (along the wider axis of
     the group) until every region holds at most t. For t = 1 the output
     fully separates P."""
     if t < 1:
         raise PreconditionError("t must be >= 1")
     n = len(P)
-    N = math.ceil(n ** ((t + 1) / (2 * t + 1)))
+    N = grid_size(n, t)
     lines = grid_lines(P, N)
     xs, ys, d = P.int_coords()
 
@@ -448,30 +436,17 @@ def max_face_load(P: PointSet, lines: Sequence[CanonicalLine]) -> int:
     return max((len(c) for c in classes), default=1)
 
 
-def trelax_study(n_list: Sequence[int], t: int, trials: int, seed: int) -> StudyTable:
+def trelax_study(
+    n_list: Sequence[int], t: int, trials: int, seed: int, timing: bool = False
+) -> StudyTable:
     """t_relaxed_separator sizes over random instances; fitted exponent of
     the total line count vs n. Every output is verified to leave at most t
     points per face."""
 
-    def worker(n: int, tr: int) -> StudyRow:
-        N = math.ceil(n ** ((t + 1) / (2 * t + 1)))
-        s = trial_seed(seed, tr * 1_000_003 + n)
-        P = random_points(n, s)
+    def separate(P: PointSet, N: int) -> List[CanonicalLine]:
         lines = t_relaxed_separator(P, t)
         if max_face_load(P, lines) > t:
-            raise VerificationError(
-                "t-relaxed output left a face with more than t points"
-            )
-        colliding, active_ids = cell_counts(*P.int_coords(), N)
-        return StudyRow(
-            n=n,
-            trial=tr,
-            seed=s,
-            separator_size=len(lines),
-            grid_N=N,
-            colliding_pairs=colliding,
-            active_cells=len(active_ids),
-            max_active_per_line=0,
-        )
+            raise VerificationError("t-relaxed output left a face with more than t points")
+        return lines
 
-    return _study_table("trelax", n_list, trials, worker)
+    return _study_table("trelax", n_list, trials, seed, t, separate, timing=timing)

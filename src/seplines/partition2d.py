@@ -152,20 +152,6 @@ def triangulate_face(face: Face) -> List[Triangle]:
     return out
 
 
-def _tri_area2(tri: Triangle) -> Fraction:
-    a, b, c = tri
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def _face_area2(face: Face) -> Fraction:
-    s = Fraction(0)
-    t = len(face)
-    for i in range(t):
-        a, b = face[i], face[(i + 1) % t]
-        s += a.x * b.y - b.x * a.y
-    return s
-
-
 @dataclass
 class Partition:
     triangles: List[Triangle]

@@ -188,19 +188,24 @@ def _assert_separates(P: PointSet, L: Sequence[CanonicalLine], mode: SeparationM
 # exact solver (branch and bound over realized variant lines)
 
 
-def _exact_pool(P: PointSet, mode: SeparationMode):
-    """Realized variant lines with exact pair-coverage bitmasks, deduplicated
-    and dominance-filtered. Returns (entries, pair_count) where each entry
-    is (mask, line), in the lines' coefficient order."""
+def _bits(M: np.ndarray) -> List[int]:
+    """Each row of the bool matrix M as an int, with bit k for column k."""
+    packed = np.packbits(M, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _exact_pool(P: PointSet, mode: SeparationMode) -> Tuple[List[CanonicalLine], np.ndarray]:
+    """Realized variant lines, deduplicated by the pairs they separate and
+    dominance-filtered. Returns (lines, H): the kept lines in coefficient
+    order, and the bool matrix H of pairs (in P.pairs() order) x kept
+    lines, H[k, e] iff line e separates pair k."""
     pairs = P.pairs()
     variants = _STRICT_VARIANTS if mode is SeparationMode.STRICT else _RELAXED_VARIANTS
     pool = [realize_variant(P, i, j, su, sv) for i, j in pairs for su, sv in variants]
     S = line_signs(P, pool)
     I, J = np.array(pairs).T
     hit = S[I] * S[J] == -1 if mode is SeparationMode.STRICT else S[I] != S[J]
-    # Bit k of a line's mask is set iff it separates pair k.
-    packed = np.ascontiguousarray(np.packbits(hit, axis=0, bitorder="little").T)
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    masks = _bits(hit.T)
     # The first line in coefficient order of each distinct nonzero mask.
     first: Dict[int, int] = {}
     for e in sorted(range(len(pool)), key=lambda e: pool[e].coeffs()):
@@ -209,11 +214,11 @@ def _exact_pool(P: PointSet, mode: SeparationMode):
     ids = np.array(list(first.values()), dtype=np.int64)
     # Dominance: drop lines whose coverage is a strict subset of another's,
     # that is, which share all their pairs with a line hitting more.
-    H = hit[:, ids].astype(np.float32)
-    size = H.sum(axis=0)
-    dominated = ((H.T @ H == size[:, None]) & (size > size[:, None])).any(axis=1)
-    keep = [(masks[e], pool[e]) for e in ids[~dominated].tolist()]
-    return keep, len(pairs)
+    H = hit[:, ids]
+    F = H.astype(np.float32)
+    size = F.sum(axis=0)
+    dominated = ((F.T @ F == size[:, None]) & (size > size[:, None])).any(axis=1)
+    return [pool[e] for e in ids[~dominated].tolist()], H[:, ~dominated]
 
 
 def _capacity(t: int, mode: SeparationMode) -> int:
@@ -244,29 +249,20 @@ def exact_separability(
         raise TooFewPointsError(f"need at least 2 points, got {n}")
     if n > EXACT_SIZE_CAP:
         raise SizeCapError(f"exact solver capped at {EXACT_SIZE_CAP} points, got {n}")
-    entries, n_pairs = _exact_pool(P, mode)
-    full = (1 << n_pairs) - 1
-    # Bit k of inc[i] is set iff point i is in pair k.
-    inc = [0] * n
-    for k, (i, j) in enumerate(P.pairs()):
-        inc[i] |= 1 << k
-        inc[j] |= 1 << k
-    masks = [e[0] for e in entries]
-    # Per-pair covering entries and entry-set bitmasks.
-    cover: List[List[int]] = [[] for _ in range(n_pairs)]
-    cover_bits = [0] * n_pairs
-    for ei, m in enumerate(masks):
-        mm = m
-        while mm:
-            k = (mm & -mm).bit_length() - 1
-            cover[k].append(ei)
-            cover_bits[k] |= 1 << ei
-            mm &= mm - 1
-    if any(not c for c in cover):
+    lines, H = _exact_pool(P, mode)
+    if not H.any(axis=1).all():
         raise GeneralPositionError(
             "some point pair cannot be separated by any candidate line "
             "(degenerate input)"
         )
+    full = (1 << len(H)) - 1
+    masks = _bits(H.T)
+    # Bit e of cover_bits[k] is set iff entry e covers pair k, bit k of inc[i] iff i is in pair k.
+    cover = [np.flatnonzero(row).tolist() for row in H]
+    cover_bits = _bits(H)
+    I, J = np.triu_indices(n, 1)
+    points = np.arange(n)[:, None]
+    inc = _bits((I == points) | (J == points))
     # Upper bound: greedy over the pool.
     ub_witness: List[int] = []
     covered = 0
@@ -280,7 +276,7 @@ def exact_separability(
         covered |= masks[best]
     ub = len(ub_witness)
 
-    pair_order = sorted(range(n_pairs), key=lambda k: len(cover[k]))
+    pair_order = sorted(range(len(H)), key=lambda k: len(cover[k]))
 
     def disjoint_lb(covered: int) -> int:
         used = 0
@@ -327,10 +323,10 @@ def exact_separability(
     for t in range(lb, ub):
         chosen.clear()
         if dfs(0, t):
-            witness = [entries[ei][1] for ei in chosen]
+            witness = [lines[ei] for ei in chosen]
             _assert_separates(P, witness, mode, "exact_separability")
             return t, witness
-    witness = [entries[ei][1] for ei in ub_witness]
+    witness = [lines[ei] for ei in ub_witness]
     _assert_separates(P, witness, mode, "exact_separability")
     return ub, witness
 
@@ -777,6 +773,11 @@ def cell_groups(cx: np.ndarray, cy: np.ndarray) -> List[List[int]]:
     return [order[cuts[k]:cuts[k + 1]].tolist() for k in np.flatnonzero(np.diff(cuts) >= 2)]
 
 
+def grid_size(n: int, t: int = 1) -> int:
+    """ceil(n^((t+1)/(2t+1))), the t-relaxed grid size; t = 1 gives ceil(n^(2/3))."""
+    return math.ceil(n ** ((t + 1) / (2 * t + 1)))
+
+
 def grid_separator(P: PointSet, N: int) -> List[CanonicalLine]:
     """The 2(N-1) grid lines x=i/N, y=i/N plus per-cell separators: the
     perpendicular bisector for cells with 2 points, recursive halving for
@@ -823,7 +824,7 @@ def solve(
 ) -> SolveResult:
     """Separate P with one of the ALGOS. ``auto`` is exact up to
     EXACT_SIZE_CAP points and greedy above; halving and grid separate
-    strictly only; grid uses N = ceil(n^(2/3)); reweight separates in
+    strictly only; grid uses N = grid_size(n); reweight separates in
     relaxed mode and is properized for strict mode. Each solver verifies
     its own output, and properize's output is verified here, so every
     result is checked exactly once."""
@@ -844,7 +845,7 @@ def solve(
     if algo == "halving":
         return SolveResult(halving_separator(P), mode, algo)
     if algo == "grid":
-        return SolveResult(grid_separator(P, math.ceil(n ** (2 / 3))), mode, algo)
+        return SolveResult(grid_separator(P, grid_size(n)), mode, algo)
     res = reweight_approx(P, seed)
     if mode is SeparationMode.STRICT:
         lines = properize(res.lines, P)

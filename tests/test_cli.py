@@ -312,6 +312,45 @@ def test_study_output_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(out + csv.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["scaling", "--n", "64,128,256", "--trials", "5", "--seed", "3"],
+         "8f996496cea03ae23c9edf2af62a8aef85fcfc58f57a6cdb7489c4079373fb14"),
+        (["trelax", "--n", "128,256", "--t", "3", "--trials", "3", "--seed", "2"],
+         "7a569796d8d3e0789d8a50650d950ada0a6b585f3b7ff2405631e3979033f57d"),
+    ],
+    ids=["scaling", "trelax"],
+)
+def test_study_output_pinned_over_more_trials(tmp_path, capsys, argv, digest):
+    """As above, with more than two trials per n, so that the pinned
+    summary includes a ddof=1 spread over more than two sizes."""
+    csv = tmp_path / "out.csv"
+    assert main(["study", *argv, "--csv", str(csv)]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out + csv.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("what", ["scaling", "trelax"])
+def test_study_timing_fills_wall_time(tmp_path, capsys, what):
+    csv = tmp_path / "out.csv"
+    argv = ["study", what, "--n", "64,128", "--trials", "2", "--timing", "--csv", str(csv)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    rows = csv.read_text().splitlines()[1:]
+    col = rows[0].split(",").index("wall_time_ms")
+    assert len(rows) == 1 + 4
+    assert all(float(r.split(",")[col]) > 0 for r in rows[1:])
+
+
+def test_solve_json_timing_reports_wall_time(tmp_path, capsys):
+    pf = tmp_path / "p.txt"
+    pf.write_text(SQUARE)
+    assert main(["solve", "--input", str(pf), "--json", "--timing"]) == EXIT_OK
+    wall = json.loads(capsys.readouterr().out)["wall_time_ms"]
+    assert isinstance(wall, float) and wall >= 0
+
+
 def _subprocess_env():
     """The environment for running ``python -m seplines.cli`` on this
     checkout's sources."""

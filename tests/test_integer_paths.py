@@ -27,6 +27,7 @@ from seplines.sepsys import (
 from seplines.solvers import (
     _RELAXED_VARIANTS,
     _STRICT_VARIANTS,
+    _bits,
     _exact_pool,
     _prune_redundant,
     grid_separator,
@@ -270,7 +271,8 @@ def test_prune_matches_reference_on_larger_general_position():
 )
 def test_exact_pool_matches_pairwise_reference(name, mode):
     P = INSTANCES[name]
-    assert _exact_pool(P, mode) == ref_exact_pool(P, mode)
+    lines, H = _exact_pool(P, mode)
+    assert (list(zip(_bits(H.T), lines)), len(H)) == ref_exact_pool(P, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ import pytest
 from seplines.geom import CanonicalLine, Point, intersect_lines, line_through, orient, pt, sign
 from seplines.partition2d import (
     ArrangementCapError,
+    Face,
     NotSeparatingError,
     Partition,
+    Triangle,
     _assign_points,
     _box_face,
-    _face_area2,
-    _tri_area2,
     bounding_box,
     build_arrangement,
     build_partition,
@@ -29,6 +29,20 @@ from seplines.sepsys import PointSet, PreconditionError
 from .conftest import grid_lines, perturbed_grid, rand_line
 
 UNIT_BOX = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
+
+
+def _tri_area2(tri: Triangle) -> Fraction:
+    a, b, c = tri
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+
+
+def _face_area2(face: Face) -> Fraction:
+    s = Fraction(0)
+    t = len(face)
+    for i in range(t):
+        a, b = face[i], face[(i + 1) % t]
+        s += a.x * b.y - b.x * a.y
+    return s
 
 
 def _lines_crossing_box(rng, m):
