@@ -4,13 +4,14 @@ numpy.
 A block's values a_j*x_i + b_j*y_i + c_j are one matrix product,
 ``[X Y 1] @ [A; B; C]``, and their error bound a second one on absolute
 values. Kernels report *uncertain* entries whose magnitude falls under
-that conservative rounding-error bound; callers must escalate those
-entries to exact integer arithmetic. Certain entries are guaranteed to
-carry the true sign, whatever order or fused multiply-adds the product
-uses, as long as every input is 0 or a normal double of magnitude within
-2^-400..2^400, so that no product underflows. Callers mark inputs outside
-that range as NaN (see ``sepsys.float_array``); every entry involving a
-NaN is reported uncertain.
+that conservative rounding-error bound; ``sepsys``, their one caller in
+the program, settles those entries in exact integers (``settle``).
+Certain entries are guaranteed to carry the true sign, whatever order or
+fused multiply-adds the product uses, as long as every input is 0 or a
+normal double of magnitude within 2^-400..2^400, so that no product
+underflows. Callers mark inputs outside that range as NaN (see
+``sepsys.float_array``); every entry involving a NaN is reported
+uncertain.
 """
 from __future__ import annotations
 
@@ -116,14 +117,14 @@ def row_hash(A, B, C, X, Y):
 
 
 # ---------------------------------------------------------------------------
-# per-line side counts (greedy seeding)
+# per-line side counts (no caller in the program; the benchmark wraps it)
 
 
 def line_side_counts(A, B, C, X, Y):
     """For each line: (#points below, #points on-or-uncertain, #points above).
 
     Below and above count certain entries only, so they never exceed the
-    exact counts; use for priority seeding only.
+    exact counts.
     """
     A, B, C, X, Y = _as_f64(A, B, C, X, Y)
     n, m = X.shape[0], A.shape[0]

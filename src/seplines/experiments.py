@@ -101,11 +101,12 @@ def heavy_ball_bounds_check(
         raise PreconditionError("trials must be positive")
     if n_balls == 0:
         return HeavyBallReport(n_balls, n_bins, i, trials, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None)
-    f_i = n_balls * (n_balls / (i * n_bins)) ** (i - 1)
+    # The throws check n_balls and n_bins before f_i takes them into floats.
     vals = np.array(
         [throw_balls(n_balls, n_bins, trial_seed(seed, t)).l_i(i) for t in range(trials)],
         dtype=np.float64,
     )
+    f_i = n_balls * (n_balls / (i * n_bins)) ** (i - 1)
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) if trials > 1 else 0.0
     half = 2.576 * sd / math.sqrt(trials)
@@ -143,6 +144,11 @@ def birthday_max_check(n_balls: int, c: float, trials: int, seed: int) -> Birthd
         raise PreconditionError(f"c must be positive and finite, got {c}")
     if n_balls < 2 or trials < 1:
         raise PreconditionError("need n_balls >= 2 and trials >= 1")
+    # Checked in this order, n_balls^2 and the product stay within floats.
+    if n_balls >= 2 ** 63 or not c * n_balls ** 2 < 2 ** 63:
+        raise PreconditionError(
+            "need n_balls < 2^63 and n_bins < 2^63, n_bins = ceil(c * n_balls^2)"
+        )
     n_bins = math.ceil(c * n_balls ** 2)
     worst = worst_pairs = 0
     for t in range(trials):

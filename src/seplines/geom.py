@@ -2,8 +2,8 @@
 orientation/side predicates and line intersection.
 
 All predicates are exact (arbitrary-precision integers / rationals).
-Hot batched evaluation lives in :mod:`seplines._kernels`; this module is
-the ground truth the kernels escalate to.
+Hot batched evaluation lives in :mod:`seplines._kernels`; its uncertain
+entries are settled in integers by ``sepsys.settle``, not here.
 """
 from __future__ import annotations
 

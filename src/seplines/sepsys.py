@@ -285,6 +285,27 @@ class CandidateLines:
         idx = np.arange(len(self)) if idx is None else np.asarray(idx, dtype=np.int64)
         return [CanonicalLine(*abc) for abc in zip(*self.coeffs(idx))]
 
+    def signs(self, ls, pts: np.ndarray) -> np.ndarray:
+        """Exact signs of the lines ``ls`` (an index array, or a slice,
+        which copies no column) at the points ``pts`` (distinct, in any
+        order), an int8 array of shape (points, lines): the float kernel,
+        with the points of each line's first pair set to 0 and every other
+        uncertain entry settled in integers."""
+        xf, yf = self.P.float_coords()
+        S, unc = _kernels.eval_signs(self.A[ls], self.B[ls], self.C[ls], xf[pts], yf[pts])
+        I, J = self.I[ls], self.J[ls]
+        row_of = np.full(len(self.P), -1)  # point -> row of S, or -1
+        row_of[pts] = np.arange(len(pts))
+        for V in (I, J):
+            row = row_of[V]
+            col = np.flatnonzero(row >= 0)
+            S[row[col], col] = 0
+            unc[row[col], col] = False
+        return settle(
+            self.P, lambda cols: tuple(v.tolist() for v in _line_coeffs(self.P, I[cols], J[cols])),
+            S, unc, pts,
+        )
+
     def incident_pairs(self, k: int) -> List[PairId]:
         """The point pairs on line k, in pair order."""
         return self.groups.get(k) or [(int(self.I[k]), int(self.J[k]))]

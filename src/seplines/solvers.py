@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .geom import CanonicalLine, int_line_through, sign
 from .sepsys import (
     CandidateLines,
@@ -43,7 +42,6 @@ from .sepsys import (
     line_signs,
     properize,
     rotate_line,
-    settle,
     sign_keys,
     split_line,
 )
@@ -344,18 +342,6 @@ def _gather(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return at, first + np.arange(len(at))
 
 
-def _seed_bounds(
-    below: np.ndarray, on: np.ndarray, above: np.ndarray, per_line: np.ndarray, strict: bool
-) -> np.ndarray:
-    """Upper bounds on greedy's first-round entry counts, from each line's
-    kernel side counts: uncertain points count as on the line and are
-    resolved optimistically. In strict mode each line has four variant
-    entries per incident pair (``per_line``)."""
-    if strict:
-        return np.repeat((below + on) * (above + on), 4 * per_line)
-    return below * above + on * (below + above) + on * (on - 1) // 2
-
-
 def _class_indicator(cls: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The float32 one-hot matrix (classes, points) of the compact class
     labels ``cls``, and the class sizes."""
@@ -395,10 +381,12 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
 
     Batched lazy greedy (Minoux 1978): a count only falls as the classes
     of unseparated points refine, so a stale count bounds the current one.
+    Every bound starts at C(n, 2), so the first round counts every entry.
     Each round walks the entries by (stale bound, tie rank) a block at a
-    time, evaluating a block's signs at the live points (those in a class
-    of two or more) in one kernel call and its counts in one tally, and
-    stops once the best exact count beats the next stale bound."""
+    time, taking a block's exact signs at the live points (those in a
+    class of two or more) from ``CandidateLines.signs`` and its counts
+    from one tally, and stops once the best exact count beats the next
+    stale bound."""
     n = len(P)
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
@@ -414,24 +402,23 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
     # the pairs of a line in order.
     rank = cand.coeff_order()
     m = len(rank)
-    tie = np.empty(m, dtype=np.int64)
-    tie[rank] = np.arange(m)
-    pair_line, pairs = tie, np.stack([cand.I, cand.J], axis=1)
-    if cand.groups:
-        more = np.array(
-            [(k, i, j) for k, prs in cand.groups.items() for i, j in prs[1:]], dtype=np.int64
-        )
-        pair_line = np.concatenate([pair_line, tie[more[:, 0]]])
-        pairs = np.concatenate([pairs, more[:, 1:]])
-    srt = np.lexsort((pairs[:, 1], pairs[:, 0], pair_line))
-    pair_line, pairs = pair_line[srt], pairs[srt]
-    per_line = np.bincount(pair_line, minlength=m)
-    # The points each line was built through lie on it exactly:
-    # on_pt[on_ptr[l]:on_ptr[l + 1]], in index order.
-    inc = np.unique(np.concatenate([pair_line * n + pairs[:, 0], pair_line * n + pairs[:, 1]]))
-    on_line, on_pt = np.divmod(inc, n)
-    on_ptr = np.searchsorted(on_line, np.arange(m + 1))
     if strict:
+        tie = np.empty(m, dtype=np.int64)
+        tie[rank] = np.arange(m)
+        pair_line, pairs = tie, np.stack([cand.I, cand.J], axis=1)
+        if cand.groups:
+            more = np.array(
+                [(k, i, j) for k, prs in cand.groups.items() for i, j in prs[1:]], dtype=np.int64
+            )
+            pair_line = np.concatenate([pair_line, tie[more[:, 0]]])
+            pairs = np.concatenate([pairs, more[:, 1:]])
+        srt = np.lexsort((pairs[:, 1], pairs[:, 0], pair_line))
+        pair_line, pairs = pair_line[srt], pairs[srt]
+        # The points each line was built through lie on it exactly:
+        # on_pt[on_ptr[l]:on_ptr[l + 1]], in index order.
+        inc = np.unique(np.concatenate([pair_line * n + pairs[:, 0], pair_line * n + pairs[:, 1]]))
+        on_line, on_pt = np.divmod(inc, n)
+        on_ptr = np.searchsorted(on_line, np.arange(m + 1))
         # on_t orders the points of a line along it, so that the midpoint
         # of two of them has the mean of their values: positions 0, 1 on a
         # two-point line, exact projections on a line through three or more.
@@ -447,33 +434,23 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         pair_t = on_t[np.searchsorted(inc, pair_line[:, None] * n + pairs)]
         sides = np.array(_STRICT_VARIANTS, dtype=np.int8)
 
-    A, B, C = cand.A[rank], cand.B[rank], cand.C[rank]
-    xf, yf = P.float_coords()
     pid = np.arange(n)  # live points, ascending
-    row_of = np.arange(n)  # point -> row among the live points, or -1
     cls = np.zeros(n, dtype=np.int64)  # class of each live point
 
-    def line_block(ls: np.ndarray) -> np.ndarray:
-        """Exact signs of lines ls at the live points, (live, len(ls))."""
-        S, unc = _kernels.eval_signs(A[ls], B[ls], C[ls], xf[pid], yf[pid])
-        at, q = _gather(on_ptr, ls)
-        row = row_of[on_pt[q]]
-        at, row = at[row >= 0], row[row >= 0]
-        S[row, at] = 0
-        unc[row, at] = False
-        return settle(P, lambda cols: cand.coeffs(rank[ls[cols]]), S, unc, pid)
-
     def entry_block(blk: np.ndarray) -> np.ndarray:
+        """Exact signs of the entries blk at the live points, (live, len(blk))."""
         if not strict:
-            return line_block(blk)
+            return cand.signs(rank[blk], pid)
         # A variant moves the points on its base line and keeps every
         # other side: a translation (su = sv) puts them all on side su; a
         # rotation about the midpoint m of p_i, p_j puts p_k on side
         # su * sign((p_i - p_j) . (p_k - m)), which is 0 at m.
         pi = blk // 4
         ls, col = np.unique(pair_line[pi], return_inverse=True)
-        S = line_block(ls)[:, col]
+        S = cand.signs(rank[ls], pid)[:, col]
         at, q = _gather(on_ptr, pair_line[pi])
+        row_of = np.full(n, -1)  # point -> row among the live points, or -1
+        row_of[pid] = np.arange(len(pid))
         row = row_of[on_pt[q]]
         at, q, row = at[row >= 0], q[row >= 0], row[row >= 0]
         su, sv = sides[blk[at] % 4].T
@@ -482,7 +459,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         S[row, at] = np.where(su == sv, su, su * turn)
         return S
 
-    bound = _seed_bounds(*_kernels.line_side_counts(A, B, C, xf, yf), per_line, strict)
+    bound = np.full(4 * len(pairs) if strict else m, n * (n - 1) // 2)
     order = np.arange(len(bound))
     out: List[CanonicalLine] = []
     while len(pid):
@@ -513,8 +490,6 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         else:
             out.append(cand.lines(rank[[win]])[0])
         cls, (pid,) = _split(cls, win_signs > 0, win_signs >= 0, 2, SeparationMode.RELAXED, pid)
-        row_of = np.full(n, -1)
-        row_of[pid] = np.arange(len(pid))
     _assert_separates(P, out, mode, "greedy_hitting_set")
     return out
 
@@ -525,15 +500,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
 
 def _pair_hits(P: PointSet, cand: CandidateLines, pair: PairId) -> np.ndarray:
     """The candidate lines that relaxed-hit the pair, ascending, exact."""
-    idx = np.array(pair)
-    xf, yf = P.float_coords()
-    S, unc = _kernels.eval_signs(cand.A, cand.B, cand.C, xf[idx], yf[idx])
-    # A line passes exactly through the points of its first pair.
-    for r, i in enumerate(pair):
-        on = np.r_[np.flatnonzero(cand.I == i), np.flatnonzero(cand.J == i)]
-        S[r, on] = 0
-        unc[r, on] = False
-    S = settle(P, cand.coeffs, S, unc, idx)
+    S = cand.signs(slice(None), np.array(pair))
     return np.flatnonzero(S[0] != S[1])
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from seplines import solvers
 from seplines.geom import CanonicalLine, int_line_through
-from seplines.sepsys import PointSet, SeparationMode, candidate_lines, float_array
+from seplines.sepsys import PointSet, SeparationMode, candidate_lines, float_array, line_signs
 
 
 def reference_candidates(P):
@@ -133,3 +133,30 @@ def test_solvers_build_no_line_object_per_candidate(monkeypatch):
         count[0] = 0
         run()
         assert 0 < count[0] < cap
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_signs_match_line_signs(name):
+    """cand.signs(ls, pts) is line_signs over the same lines, for lines
+    given by slices and by an unsorted index array, at all points and at
+    unsorted subsets of them."""
+    P = CASES[name]
+    cand = candidate_lines(P)
+    rng = np.random.default_rng(len(P))
+    every = np.arange(len(cand))
+    some = rng.permutation(len(cand))[: len(cand) // 3 + 1]
+    lines = [(slice(None), every), (slice(1, None, 2), every[1::2]), (some, some)]
+    for pts in (np.arange(len(P)), rng.permutation(len(P)), rng.permutation(len(P))[::2]):
+        for ls, idx in lines:
+            got = cand.signs(ls, pts)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, line_signs(P, cand.lines(idx), pts)), (pts, ls)
+
+
+def test_signs_cases_cover_groups_and_nan_columns():
+    cands = {name: candidate_lines(P) for name, P in CASES.items()}
+    assert cands["grid-4x4"].groups and cands["collinear-triples"].groups
+    assert np.isnan(CASES["grid-past-2^400"].float_coords()[0]).any()
+    assert np.isnan(cands["grid-past-2^400"].C).any()
+    assert np.isnan(cands["near-2^-400"].A).any()
+    assert CASES["general-2^40-grid"].int_coords()[2] == 2 ** 40

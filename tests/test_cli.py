@@ -627,7 +627,11 @@ def test_study_birthday_nonfinite_c_exits_3(capsys, c):
 @pytest.mark.parametrize(
     "argv",
     [["birthday", "--n-balls", "100", "--c", "1e300"],
-     ["balls-bins", "--n-balls", "10", "--n-bins", str(10 ** 23)]],
+     ["balls-bins", "--n-balls", "10", "--n-bins", str(10 ** 23)],
+     # These three once overflowed a float before any check ran.
+     ["birthday", "--n-balls", "1000", "--c", "1e308"],
+     ["birthday", "--n-balls", str(10 ** 399), "--c", "1"],
+     ["balls-bins", "--n-balls", str(10 ** 399), "--n-bins", str(10 ** 400), "--i", "2"]],
 )
 def test_study_bins_beyond_int64_exits_3(capsys, argv):
     assert main(["study"] + argv + ["--trials", "1"]) == EXIT_PRECONDITION

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seplines import _kernels, solvers
+from seplines import solvers
 from seplines.experiments import random_points
 from seplines.geom import CanonicalLine, Point, int_line_through, sign
 from seplines.sepsys import (
@@ -155,50 +155,6 @@ def test_strict_greedy_on_collinear_points():
     lines = greedy_hitting_set(P, STRICT)
     assert verify(P, lines, STRICT)
     assert lines == reference_greedy(P, STRICT)
-
-
-@pytest.mark.parametrize("mode", [RELAXED, STRICT], ids=["relaxed", "strict"])
-def test_seed_bounds_bound_first_round_counts(mode):
-    """The seed bounds greedy builds from the kernel's side counts are at
-    least each entry's exact first-round count (so lazy greedy still picks
-    the reference's winners), and a line whose off-line points are all
-    certain gets its exact below and above counts."""
-    strict = mode is STRICT
-    rng = random.Random(20261019)
-    instances = [general_position(rng, rng.randint(3, 24)) for _ in range(8)]
-    instances += [collinear_grid(rng, scale) for scale in (1, 1, 1, 1, 10 ** 25, 10 ** 25)]
-    instances += [near_lines(rng, rng.randint(3, 16)) for _ in range(4)]
-    instances.append(random_points(40, 7))
-    uncertain_off_line = 0
-    for P in instances:
-        cand = candidate_lines(P)
-        below, on, above = _kernels.line_side_counts(cand.A, cand.B, cand.C, *P.float_coords())
-        pairs = [cand.incident_pairs(k) for k in range(len(cand))]
-        bound = solvers._seed_bounds(
-            below, on, above, np.array([len(prs) for prs in pairs]), strict
-        )
-        E = line_signs(P, cand.lines())
-        lo, zero, hi = (E < 0).sum(axis=0), (E == 0).sum(axis=0), (E > 0).sum(axis=0)
-        assert (below <= lo).all() and (above <= hi).all()
-        certain = on == zero
-        assert certain.any()
-        uncertain_off_line += int((on - zero).sum())
-        assert (below[certain] == lo[certain]).all() and (above[certain] == hi[certain]).all()
-        if strict:
-            # Entry order: per line its pairs, per pair the four variants.
-            variants = [
-                realize_variant(P, i, j, su, sv)
-                for prs in pairs
-                for i, j in prs
-                for su, sv in _STRICT_VARIANTS
-            ]
-            V = line_signs(P, variants)
-            exact = (V < 0).sum(axis=0) * (V > 0).sum(axis=0)
-        else:
-            exact = lo * hi + zero * (lo + hi)
-        assert len(bound) == len(exact)
-        assert (bound >= exact).all(), list(P)
-    assert uncertain_off_line > 0
 
 
 def bincount_tally(cls, S, strict):
