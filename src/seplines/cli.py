@@ -69,9 +69,18 @@ _INT_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def _coord(tok: str) -> Tuple[int, int]:
     """(p, q) with q > 0 and p/q the token's value, not always in lowest
-    terms; a bad token raises what Fraction(tok) raises."""
+    terms; a bad token raises what Fraction(tok) raises. A decimal token
+    w.f[e+-x] raises ValueError before Fraction expands its power of ten
+    if its numerator or denominator before reduction would have more
+    digits, leading zeros counted, than int() reads."""
     m = _INT_RATIO.fullmatch(tok)
     if m is None:
+        mant, _, exp = tok.lower().partition("e")
+        e = int(exp) if exp else 0
+        w, f = (sum(c.isdecimal() for c in part) for part in mant.partition(".")[::2])
+        limit = sys.get_int_max_str_digits()
+        if "/" not in tok and 0 < limit < max(w + f + max(e, 0), f + max(-e, 0) + 1):
+            raise ValueError(f"{tok[:40]!r} needs more than {limit} digits")
         return Fraction(tok).as_integer_ratio()
     p, q = m.groups()
     p, q = int(p), int(q) if q else 1

@@ -306,9 +306,16 @@ class CandidateLines:
             S, unc, pts,
         )
 
-    def incident_pairs(self, k: int) -> List[PairId]:
-        """The point pairs on line k, in pair order."""
-        return self.groups.get(k) or [(int(self.I[k]), int(self.J[k]))]
+    def incidences(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(line, i, j) of every pair (i, j) of points of P, i < j, in pair
+        order: each pair lies on exactly one of the lines."""
+        L, I, J = np.arange(len(self)), self.I, self.J
+        if self.groups:
+            more = [(k, i, j) for k, prs in self.groups.items() for i, j in prs[1:]]
+            L, I, J = (np.r_[V, W] for V, W in zip((L, I, J), np.array(more).T))
+            order = np.lexsort((J, I))
+            L, I, J = L[order], I[order], J[order]
+        return L, I, J
 
     def coeff_order(self) -> np.ndarray:
         """The line indices in canonical-coefficient order.

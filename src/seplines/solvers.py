@@ -62,6 +62,7 @@ _RELAXED_VARIANTS = (
     (-1, 0),
     (1, 0),
 ) + _STRICT_VARIANTS
+_STRICT_SIGNS = np.array(_STRICT_VARIANTS, dtype=np.int8)
 
 
 class SolverError(RuntimeError):
@@ -166,6 +167,48 @@ def realize_variant(
     gx, gy = xs[u] - xs[v], ys[u] - ys[v]
     h0 = -(gx * (xs[u] + xs[v]) + gy * (ys[u] + ys[v]))
     return rotate_line(P, base, (2 * gx, 2 * gy, h0), 4 * d * d, su, True)
+
+
+def variant_signs(
+    cand: CandidateLines, ls: np.ndarray, i: np.ndarray, j: np.ndarray,
+    su: np.ndarray, sv: np.ndarray, pts: np.ndarray,
+) -> np.ndarray:
+    """Exact signs at the points ``pts`` (distinct, in any order) of the
+    (su[e], sv[e]) variant of candidate line ls[e] through its incident
+    pair (i[e], j[e]), an int8 array of shape (points, entries), without
+    building the lines. They are on the base line's orientation: a
+    realized line that canonicalization flips has all of them negated.
+
+    Off the base line every point keeps its sign; points i and j get su
+    and sv. Any other point p_k on it (only a line through three or more
+    points has one) gets sign(su * (p_k - p_j) . g + sv * (p_i - p_k) . g),
+    g = p_i - p_j, in integers: su for a translation (su = sv), and for
+    the midpoint rotation (su = -sv) su on p_i's half and sv on p_j's."""
+    lines, col = np.unique(ls, return_inverse=True)
+    S = cand.signs(lines, pts)[:, col]
+    row_of = np.full(len(cand.P), -1)  # point -> row of S, or -1
+    row_of[pts] = np.arange(len(pts))
+    for V, s in ((i, su), (j, sv)):
+        row = row_of[V]
+        has = np.flatnonzero(row >= 0)
+        S[row[has], has] = s[has]
+    if cand.groups:
+        # Exact signs are 0 only on the base line; at i and j the formula
+        # gives su and sv, so a zero set there is kept.
+        grouped = np.flatnonzero(np.isin(ls, list(cand.groups)))
+        rows, at = np.nonzero(S[:, grouped] == 0)
+        e = grouped[at]
+        xs, ys, _ = cand.P.int_coords()
+        S[rows, e] = [
+            sign(
+                s * ((xs[k] - xs[q]) * (xs[p] - xs[q]) + (ys[k] - ys[q]) * (ys[p] - ys[q]))
+                + t * ((xs[p] - xs[k]) * (xs[p] - xs[q]) + (ys[p] - ys[k]) * (ys[p] - ys[q]))
+            )
+            for k, p, q, s, t in zip(
+                pts[rows].tolist(), i[e].tolist(), j[e].tolist(), su[e].tolist(), sv[e].tolist()
+            )
+        ]
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +376,6 @@ def exact_separability(
 # greedy (batched lazy evaluation over point classes)
 
 
-def _gather(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions ptr[r]..ptr[r + 1] - 1 of each r in rows (a CSR gather):
-    returns (index into rows, position) per gathered position."""
-    cnt = ptr[rows + 1] - ptr[rows]
-    at = np.repeat(np.arange(len(rows)), cnt)
-    first = np.repeat(ptr[rows] - np.cumsum(cnt) + cnt, cnt)
-    return at, first + np.arange(len(at))
-
-
 def _class_indicator(cls: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The float32 one-hot matrix (classes, points) of the compact class
     labels ``cls``, and the class sizes."""
@@ -384,9 +418,9 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
     Every bound starts at C(n, 2), so the first round counts every entry.
     Each round walks the entries by (stale bound, tie rank) a block at a
     time, taking a block's exact signs at the live points (those in a
-    class of two or more) from ``CandidateLines.signs`` and its counts
-    from one tally, and stops once the best exact count beats the next
-    stale bound."""
+    class of two or more) from ``CandidateLines.signs``, or
+    ``variant_signs`` in strict mode, and its counts from one tally, and
+    stops once the best exact count beats the next stale bound."""
     n = len(P)
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
@@ -398,41 +432,14 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
     strict = mode is SeparationMode.STRICT
     # Lines in tie order (canonical coefficients): line l is candidate
     # rank[l]. An entry's id is its tie rank: entry l is line l in relaxed
-    # mode; in strict mode entry e is variant e % 4 of pair e // 4, with
-    # the pairs of a line in order.
+    # mode; in strict mode entry e is variant e % 4 of pair e // 4, the
+    # incident pairs sorted by their line's tie rank, then in pair order.
     rank = cand.coeff_order()
     m = len(rank)
     if strict:
-        tie = np.empty(m, dtype=np.int64)
-        tie[rank] = np.arange(m)
-        pair_line, pairs = tie, np.stack([cand.I, cand.J], axis=1)
-        if cand.groups:
-            more = np.array(
-                [(k, i, j) for k, prs in cand.groups.items() for i, j in prs[1:]], dtype=np.int64
-            )
-            pair_line = np.concatenate([pair_line, tie[more[:, 0]]])
-            pairs = np.concatenate([pairs, more[:, 1:]])
-        srt = np.lexsort((pairs[:, 1], pairs[:, 0], pair_line))
-        pair_line, pairs = pair_line[srt], pairs[srt]
-        # The points each line was built through lie on it exactly:
-        # on_pt[on_ptr[l]:on_ptr[l + 1]], in index order.
-        inc = np.unique(np.concatenate([pair_line * n + pairs[:, 0], pair_line * n + pairs[:, 1]]))
-        on_line, on_pt = np.divmod(inc, n)
-        on_ptr = np.searchsorted(on_line, np.arange(m + 1))
-        # on_t orders the points of a line along it, so that the midpoint
-        # of two of them has the mean of their values: positions 0, 1 on a
-        # two-point line, exact projections on a line through three or more.
-        on_t = np.arange(len(inc)) - on_ptr[on_line]
-        crowded = np.nonzero(np.diff(on_ptr) > 2)[0]
-        if len(crowded):
-            xs, ys, _ = P.int_coords()
-            t = on_t.tolist()
-            for l, a, b in zip(crowded.tolist(), *cand.coeffs(rank[crowded])[:2]):
-                for q in range(on_ptr[l], on_ptr[l + 1]):
-                    t[q] = a * ys[on_pt[q]] - b * xs[on_pt[q]]
-            on_t = np.array(t, dtype=object if max(map(abs, t)) >= 2 ** 61 else np.int64)
-        pair_t = on_t[np.searchsorted(inc, pair_line[:, None] * n + pairs)]
-        sides = np.array(_STRICT_VARIANTS, dtype=np.int8)
+        pair_line, I, J = cand.incidences()
+        srt = np.lexsort((J, I, np.argsort(rank)[pair_line]))
+        pair_line, I, J = pair_line[srt], I[srt], J[srt]
 
     pid = np.arange(n)  # live points, ascending
     cls = np.zeros(n, dtype=np.int64)  # class of each live point
@@ -441,25 +448,10 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
         """Exact signs of the entries blk at the live points, (live, len(blk))."""
         if not strict:
             return cand.signs(rank[blk], pid)
-        # A variant moves the points on its base line and keeps every
-        # other side: a translation (su = sv) puts them all on side su; a
-        # rotation about the midpoint m of p_i, p_j puts p_k on side
-        # su * sign((p_i - p_j) . (p_k - m)), which is 0 at m.
-        pi = blk // 4
-        ls, col = np.unique(pair_line[pi], return_inverse=True)
-        S = cand.signs(rank[ls], pid)[:, col]
-        at, q = _gather(on_ptr, pair_line[pi])
-        row_of = np.full(n, -1)  # point -> row among the live points, or -1
-        row_of[pid] = np.arange(len(pid))
-        row = row_of[on_pt[q]]
-        at, q, row = at[row >= 0], q[row >= 0], row[row >= 0]
-        su, sv = sides[blk[at] % 4].T
-        ti, tj = pair_t[pi[at]].T
-        turn = np.sign(ti - tj) * np.sign(2 * on_t[q] - ti - tj)
-        S[row, at] = np.where(su == sv, su, su * turn)
-        return S
+        p, (su, sv) = blk // 4, _STRICT_SIGNS[blk % 4].T
+        return variant_signs(cand, pair_line[p], I[p], J[p], su, sv, pid)
 
-    bound = np.full(4 * len(pairs) if strict else m, n * (n - 1) // 2)
+    bound = np.full(4 * len(I) if strict else m, n * (n - 1) // 2)
     order = np.arange(len(bound))
     out: List[CanonicalLine] = []
     while len(pid):
@@ -485,7 +477,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
             )
         bound[win] = 0
         if strict:
-            i, j = pairs[win // 4].tolist()
+            i, j = int(I[win // 4]), int(J[win // 4])
             out.append(realize_variant(P, i, j, *_STRICT_VARIANTS[win % 4]))
         else:
             out.append(cand.lines(rank[[win]])[0])
@@ -498,7 +490,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
 # reweighting approximation
 
 
-def _pair_hits(P: PointSet, cand: CandidateLines, pair: PairId) -> np.ndarray:
+def _pair_hits(cand: CandidateLines, pair: PairId) -> np.ndarray:
     """The candidate lines that relaxed-hit the pair, ascending, exact."""
     S = cand.signs(slice(None), np.array(pair))
     return np.flatnonzero(S[0] != S[1])
@@ -568,7 +560,7 @@ def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
                 )
             hit = pair_hits.get(pair)
             if hit is None:
-                hit = pair_hits[pair] = _pair_hits(P, cand, pair)
+                hit = pair_hits[pair] = _pair_hits(cand, pair)
             if ws.masked_weight(hit) <= eps * ws.total_weight:
                 ws.double(hit)
                 doublings += 1
@@ -632,49 +624,40 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
         raise GeneralPositionError("halving_separator requires no 3 collinear points")
     first, active_L, active_R = split_line(P, range(n), 0, (n + 1) // 2)
     lines = [first]
-    left = set(active_L)
     active_L.sort()
     active_R.sort()
     xs, ys, d = P.int_coords()
 
-    def side_of(a: int, b: int, c: int, w: int) -> int:
-        return sign(a * xs[w] + b * ys[w] + c * d)
-
-    def two_cut(part: List[int], sides: Dict[int, int]) -> List[int]:
-        """The two points of part on the + side of the cutting line, or
-        else the two on its - side."""
-        pos = [w for w in part if sides[w] > 0]
-        return pos if len(pos) == 2 else [w for w in part if sides[w] < 0]
-
     def cut_two_and_two() -> Tuple[List[int], List[int], CanonicalLine]:
+        """The first variant, in (pair, variant) order, of a line through
+        two active points with exactly two points of each part on one side.
+        In general position line k of the subset is its pair k."""
         active = active_L + active_R
         sub = P.subset(active)
-        for ii in range(len(active)):
-            for jj in range(ii + 1, len(active)):
-                u, v = active[ii], active[jj]
-                # The base line realize_variant perturbs, with its orientation.
-                a, b, c = int_line_through(xs[u], ys[u], xs[v], ys[v], d)
-                lpos = lneg = rpos = rneg = 0
-                for w in active:
-                    s = side_of(a, b, c, w)
-                    if w in left:
-                        lpos += s > 0
-                        lneg += s < 0
-                    else:
-                        rpos += s > 0
-                        rneg += s < 0
-                for su, sv in _STRICT_VARIANTS:
-                    lp = lpos + (u in left and su > 0) + (v in left and sv > 0)
-                    ln = lneg + (u in left and su < 0) + (v in left and sv < 0)
-                    rp = rpos + (u not in left and su > 0) + (v not in left and sv > 0)
-                    rn = rneg + (u not in left and su < 0) + (v not in left and sv < 0)
-                    if 2 not in (lp, ln) or 2 not in (rp, rn):
-                        continue
-                    line = realize_variant(sub, ii, jj, su, sv)
-                    # The realized sides are the counted ones, all negated
-                    # when canonicalization flips the line, and none is 0.
-                    sides = {w: side_of(*line.coeffs(), w) for w in active}
-                    return two_cut(active_L, sides), two_cut(active_R, sides), line
+        cand = candidate_lines(sub)
+        pts = np.arange(len(active))
+        left = pts < len(active_L)
+        step = max(1, _KERNEL_THRESHOLD // len(active))
+        for lo in range(0, len(cand), step):
+            ents = np.arange(4 * lo, 4 * min(lo + step, len(cand)))
+            ls, (su, sv) = ents // 4, _STRICT_SIGNS[ents % 4].T
+            V = variant_signs(cand, ls, cand.I[ls], cand.J[ls], su, sv, pts)
+            ok = np.ones(len(ents), dtype=bool)
+            for part in (V[left], V[~left]):
+                ok &= ((part > 0).sum(axis=0) == 2) | ((part < 0).sum(axis=0) == 2)
+            if ok.any():
+                e = int(ents[np.argmax(ok)])
+                line = realize_variant(
+                    sub, int(cand.I[e // 4]), int(cand.J[e // 4]), *_STRICT_VARIANTS[e % 4]
+                )
+                # Each part's two points on the + side of the realized
+                # line, or else its two on the - side.
+                s = line_signs(sub, [line])[:, 0]
+                cutL, cutR = (
+                    np.array(active)[part & (s == (1 if (s[part] > 0).sum() == 2 else -1))].tolist()
+                    for part in (left, ~left)
+                )
+                return cutL, cutR, line
         raise GeneralPositionError("no 2+2 cutting line found (degenerate input)")
 
     while len(active_R) >= 3:

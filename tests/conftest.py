@@ -64,6 +64,17 @@ def with_collinear_triple(n: int, seed: int, i: int, j: int) -> PointSet:
     )
 
 
+def incident_pairs(cand) -> List[List[tuple]]:
+    """The point pairs on each candidate line, in pair order, from
+    ``CandidateLines.incidences``, which must list every pair once."""
+    L, I, J = (v.tolist() for v in cand.incidences())
+    assert list(zip(I, J)) == cand.P.pairs()
+    pairs: List[List[tuple]] = [[] for _ in range(len(cand))]
+    for k, i, j in zip(L, I, J):
+        pairs[k].append((i, j))
+    return pairs
+
+
 def grid_lines(k: int) -> List[CanonicalLine]:
     """The 2(k-1) lines of the k x k unit grid."""
     out = [CanonicalLine.from_coeffs(k, 0, -i) for i in range(1, k)]

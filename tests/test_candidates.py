@@ -14,6 +14,8 @@ from seplines import solvers
 from seplines.geom import CanonicalLine, int_line_through
 from seplines.sepsys import PointSet, SeparationMode, candidate_lines, float_array, line_signs
 
+from .conftest import incident_pairs
+
 
 def reference_candidates(P):
     """{canonical coefficients: incident pairs}, in first-pair order."""
@@ -81,7 +83,7 @@ def test_candidate_lines_match_pair_loop(name):
     cand = candidate_lines(P)
     assert len(cand) == len(ref)
     assert [l.coeffs() for l in cand.lines()] == list(ref)
-    assert [cand.incident_pairs(k) for k in range(len(cand))] == list(ref.values())
+    assert incident_pairs(cand) == list(ref.values())
     assert [(int(i), int(j)) for i, j in zip(cand.I, cand.J)] == [p[0] for p in ref.values()]
     assert sorted(cand.groups) == [k for k, p in enumerate(ref.values()) if len(p) > 1]
     for col, V in enumerate((cand.A, cand.B, cand.C)):

@@ -97,6 +97,29 @@ def test_bad_coordinate_exits_2(tmp_path, capsys, tok):
     assert main(["verify", "--points", str(f), "--lines", str(lf)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("tok", ["1e5000", "-1e-5000", "1e10000000", "0e10000000", "1e-4300"])
+def test_exponent_token_past_digit_limit_exits_2_at_once(tmp_path, capsys, tok):
+    """A short token whose power of ten would need more than 4300 digits
+    is rejected before Fraction expands it."""
+    f = tmp_path / "p.txt"
+    f.write_text(f"0 0\n1/2 {tok}\n")
+    lf = tmp_path / "l.txt"
+    lf.write_text("1 0 0\n")
+    t0 = time.perf_counter()
+    assert main(["verify", "--points", str(f), "--lines", str(lf)]) == EXIT_PARSE
+    assert time.perf_counter() - t0 < 1
+    assert ":2: bad coordinate:" in capsys.readouterr().err
+
+
+def test_exponent_tokens_within_digit_limit_parse(tmp_path):
+    f = tmp_path / "p.txt"
+    f.write_text(f"1e-3 -2.5E+2\n1e4299 1e-4299\n{'1' * 4299}.5 0\n")
+    P = parse_point_file(str(f))
+    assert (P[0].x, P[0].y) == (Fraction(1, 1000), Fraction(-250))
+    assert (P[1].x, P[1].y) == (Fraction(10 ** 4299), Fraction(1, 10 ** 4299))
+    assert P[2].x == Fraction(int("1" * 4299 + "5"), 10)
+
+
 def test_line_file_parsing(tmp_path):
     f = tmp_path / "l.txt"
     f.write_text("2 0 -1\n0 2 -1\n")

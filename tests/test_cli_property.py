@@ -1,15 +1,16 @@
-"""Property test of the CLI exit-code contract on small degenerate inputs:
-every algorithm in both modes exits 0 (and its output verifies) or 3."""
+"""Property tests of the CLI exit-code contract: on small degenerate
+inputs every algorithm in both modes exits 0 (and its output verifies)
+or 3, and `sep verify` on fuzzed files exits 0 to 3 without a traceback."""
 import contextlib
 import io
 import os
 import tempfile
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from seplines.cli import EXIT_OK, EXIT_PRECONDITION, main
+from seplines.cli import EXIT_NOT_SEPARATING, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
 from seplines.solvers import ALGOS
 
 # Points on the 5 x 5 grid of multiples of 1/3: collinear triples are
@@ -45,3 +46,56 @@ def test_every_solve_exits_0_or_3_and_verifies(cells):
                     fh.write(out)
                 rc, out, _ = _run(["verify", "--points", pf, "--lines", lf, "--mode", mode])
                 assert (rc, out) == (EXIT_OK, "separating\n"), (algo, mode)
+
+
+# `sep verify` on hypothesis-built point and line files: valid rows on a
+# small grid (duplicates, too few points, separating or not), with
+# malformed, exponent and huge tokens and wrong field counts mixed in.
+BAD_TOKENS = [
+    "1e5000", "-1e-5000", "1e10000000", "0e99999999", "1e", "e3", "abc", "1/0", "1/2/3",
+    "--1", "nan", "0x10", "1__0", "", "9" * 4301, f"1/{'7' * 4301}", "1e-4300",
+]
+GOOD_TOKENS = ["1e-3", "-2.5E+2", ".5", "7/3", "-0", "1_0", "\u0663", "9" * 4300, "1e4299"]
+small = st.integers(-3, 3)
+coords = st.one_of(
+    small.map(str),
+    st.builds(lambda p, q: f"{p}/{q}", small, st.integers(1, 3)),
+    st.sampled_from(GOOD_TOKENS),
+)
+
+
+def _file(row, tokens):
+    """Up to 7 valid rows, and half the time one more row among them with
+    a token from ``tokens`` or a wrong number of fields."""
+    odd = st.lists(
+        st.one_of(st.sampled_from(tokens), row.map(lambda r: r.split()[0])), max_size=4
+    ).map(" ".join)
+
+    def spoil(rows):
+        at = st.integers(0, len(rows))
+        return st.one_of(st.just(rows), st.builds(lambda k, r: rows[:k] + [r] + rows[k:], at, odd))
+
+    return st.lists(row, max_size=7).flatmap(spoil).map("\n".join)
+
+
+point_files = _file(st.builds("{} {}".format, coords, coords), BAD_TOKENS)
+line_files = _file(
+    st.builds("{} {} {}".format, small, small, small),
+    BAD_TOKENS + ["1.5", "1e3", "2/1", "1" * 4400],
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(point_files, line_files, st.sampled_from(["strict", "relaxed"]))
+def test_verify_exit_codes_on_fuzzed_files(points, lines, mode):
+    """Every verify run exits 0, 1, 2 or 3 and never prints a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pf, lf = os.path.join(tmp, "p.txt"), os.path.join(tmp, "l.txt")
+        with open(pf, "w", encoding="utf-8") as fh:
+            fh.write(points)
+        with open(lf, "w", encoding="utf-8") as fh:
+            fh.write(lines)
+        rc, out, err = _run(["verify", "--points", pf, "--lines", lf, "--mode", mode])
+    event(f"exit {rc}")
+    assert rc in (EXIT_OK, EXIT_NOT_SEPARATING, EXIT_PARSE, EXIT_PRECONDITION), (rc, err)
+    assert "Traceback" not in err

@@ -16,7 +16,8 @@ from seplines.sepsys import (
 )
 
 from .conftest import (
-    grid_lines, perturbed_grid, rand_general_position_points, with_collinear_triple,
+    grid_lines, incident_pairs, perturbed_grid, rand_general_position_points,
+    with_collinear_triple,
 )
 
 
@@ -70,12 +71,12 @@ def test_pairs_enumeration():
 def test_candidate_lines_counts():
     cand = candidate_lines(SQUARE)
     assert len(cand) == 6
-    assert all(len(cand.incident_pairs(k)) == 1 for k in range(len(cand)))
+    assert all(len(prs) == 1 for prs in incident_pairs(cand))
     # collinear triple: one shared line for its three pairs
     P = PointSet([pt(0, 0), pt(1, 1), pt(2, 2), pt(5, 0)])
     cand = candidate_lines(P)
     assert len(cand) == 4  # diagonal + three lines to (5,0)
-    by_line = {l.coeffs(): cand.incident_pairs(k) for k, l in enumerate(cand.lines())}
+    by_line = {l.coeffs(): prs for l, prs in zip(cand.lines(), incident_pairs(cand))}
     diag = line_through(pt(0, 0), pt(1, 1)).coeffs()
     assert sorted(by_line[diag]) == [(0, 1), (0, 2), (1, 2)]
 
@@ -83,8 +84,8 @@ def test_candidate_lines_counts():
 def test_candidate_lines_pass_through_their_pairs():
     P = rand_general_position_points(7, seed=2)
     cand = candidate_lines(P)
-    for k, line in enumerate(cand.lines()):
-        for (i, j) in cand.incident_pairs(k):
+    for line, prs in zip(cand.lines(), incident_pairs(cand)):
+        for (i, j) in prs:
             assert line.eval_at(P[i]) == 0
             assert line.eval_at(P[j]) == 0
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seplines.experiments import random_points
 from seplines.geom import CanonicalLine, pt, side
@@ -23,6 +25,7 @@ from seplines.solvers import (
     halving_separator,
     realize_variant,
     reweight_approx,
+    variant_signs,
     verify,
 )
 
@@ -55,6 +58,50 @@ def test_realize_variant_all_sign_patterns():
                 for i, p in enumerate(P):
                     if base_sides[i] != 0:
                         assert side(line, p) == base_sides[i], (seed, u, v, su, sv, i)
+
+
+@st.composite
+def variant_cases(draw):
+    """(P, pts): distinct points of a 4 x 4 grid (collinear runs), the same
+    scaled past 2^62, or points 2^-50 or less off the diagonal y = x;
+    and a subset of P's indices in random order."""
+    kind = draw(st.sampled_from(["grid", "scaled", "near"]))
+    n = draw(st.integers(3, 8))
+    if kind == "near":
+        xs = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n, unique=True))
+        off = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        u = 2 ** 50
+        P = PointSet.from_ratios(
+            [x * u for x in xs], [u] * n, [x * u + o for x, o in zip(xs, off)], [u] * n
+        )
+    else:
+        cells = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n, unique=True))
+        k = 2 ** 62 + 3 if kind == "scaled" else 1
+        P = PointSet.from_ratios(
+            [c // 4 * k for c in cells], [1] * n, [c % 4 * k - 5 for c in cells], [1] * n
+        )
+    order = draw(st.permutations(range(n)))
+    return P, np.array(order[: draw(st.integers(1, n))])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(variant_cases())
+def test_variant_signs_match_realized_variants(case):
+    """variant_signs gives the signs of the line realize_variant builds, for
+    every incident pair of every candidate line and each strict variant,
+    negated where canonicalization flips the realized line."""
+    P, pts = case
+    cand = candidate_lines(P)
+    L, I, J = cand.incidences()
+    E = np.arange(4 * len(L))
+    i, j = I[E // 4], J[E // 4]
+    su, sv = np.array([(-1, -1), (-1, 1), (1, -1), (1, 1)], dtype=np.int8)[E % 4].T
+    V = variant_signs(cand, L[E // 4], i, j, su, sv, pts)
+    lines = [realize_variant(P, *e) for e in zip(*(v.tolist() for v in (i, j, su, sv)))]
+    R = line_signs(P, lines)
+    flip = R[i, E] * su  # the realized line's orientation against the base line's
+    assert V.dtype == np.int8 and np.all(np.abs(flip) == 1)
+    assert np.array_equal(V, (R * flip)[pts])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +251,7 @@ def near_collinear_points(seed):
     ids=["small-grid", "2^40-grid", "near-collinear"],
 )
 def test_pair_hits_match_exact_signs(make, collinear):
-    """_pair_hits(P, cand, (i, j)) is exactly the candidates on whose
+    """_pair_hits(cand, (i, j)) is exactly the candidates on whose
     exact signs i and j differ, extra points of a grouped line included."""
     grouped = 0
     for seed in range(30):
@@ -215,7 +262,7 @@ def test_pair_hits_match_exact_signs(make, collinear):
         for i in range(len(P)):
             for j in range(i + 1, len(P)):
                 want = np.flatnonzero(S[i] != S[j])
-                assert np.array_equal(_pair_hits(P, cand, (i, j)), want), (seed, i, j)
+                assert np.array_equal(_pair_hits(cand, (i, j)), want), (seed, i, j)
     assert (grouped > 0) == collinear
 
 
