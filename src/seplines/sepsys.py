@@ -19,7 +19,8 @@ from .geom import CanonicalLine, Point, sign
 
 PairId = Tuple[int, int]
 
-# Largest number of sign entries one kernel call in `refine` evaluates.
+# Largest number of sign entries one kernel block evaluates: `refine`'s
+# line blocks and the entry blocks of greedy and halving's cut search.
 _KERNEL_THRESHOLD = 200_000
 
 # The float filter holds while every input is 0 or within 2^-400..2^400 in
@@ -142,7 +143,6 @@ class PointSet:
             raise ValueError("duplicate points in PointSet")
         self._int_coords = (xs, ys, d)
         self._points: Optional[Tuple[Point, ...]] = None
-        self._general_position: Optional[bool] = None
         self._float_coords: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def subset(self, idx: Sequence[int]) -> "PointSet":
@@ -197,26 +197,6 @@ class PointSet:
                 self._float_coords = (float_array([Fraction(x, d) for x in xs]),
                                       float_array([Fraction(y, d) for y in ys]))
         return self._float_coords
-
-    @property
-    def general_position(self) -> bool:
-        """True iff no three points are collinear, that is, iff from each
-        point the reduced directions to the later points are pairwise
-        distinct."""
-        if self._general_position is None:
-            xs, ys, _ = self._int_coords
-
-            def direction(dx: int, dy: int) -> Tuple[int, int]:
-                g = math.gcd(dx, dy)
-                g = g if dx > 0 or (dx == 0 and dy > 0) else -g
-                return dx // g, dy // g
-
-            self._general_position = all(
-                len({direction(x - x0, y - y0) for x, y in zip(xs[i + 1:], ys[i + 1:])})
-                == len(xs) - 1 - i
-                for i, (x0, y0) in enumerate(zip(xs, ys))
-            )
-        return self._general_position
 
     def pairs(self) -> List[PairId]:
         n = len(self)

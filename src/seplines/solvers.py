@@ -411,7 +411,8 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
     currently-unseparated pairs (ties by canonical line order, then
     variant). Relaxed mode selects among the candidate lines themselves;
     strict mode selects among their four perturbed variants (candidate
-    lines pass through two points and never strictly separate them).
+    lines pass through two points and never strictly separate them), and
+    so does relaxed mode when all the points lie on one line.
 
     Batched lazy greedy (Minoux 1978): a count only falls as the classes
     of unseparated points refine, so a stale count bounds the current one.
@@ -424,12 +425,10 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
     n = len(P)
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
-    if n == 2:
-        line = realize_variant(P, 0, 1, -1, 1)
-        _assert_separates(P, [line], mode, "greedy_hitting_set")
-        return [line]
     cand = candidate_lines(P)
-    strict = mode is SeparationMode.STRICT
+    # When every point lies on one line, that line separates nothing, so
+    # even relaxed mode picks among its variants: each separates strictly.
+    strict = mode is SeparationMode.STRICT or len(cand) == 1
     # Lines in tie order (canonical coefficients): line l is candidate
     # rank[l]. An entry's id is its tie rank: entry l is line l in relaxed
     # mode; in strict mode entry e is variant e % 4 of pair e // 4, the
@@ -620,7 +619,8 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
     n = len(P)
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
-    if not P.general_position:
+    cand = candidate_lines(P)
+    if cand.groups:
         raise GeneralPositionError("halving_separator requires no 3 collinear points")
     first, active_L, active_R = split_line(P, range(n), 0, (n + 1) // 2)
     lines = [first]
@@ -631,30 +631,34 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
     def cut_two_and_two() -> Tuple[List[int], List[int], CanonicalLine]:
         """The first variant, in (pair, variant) order, of a line through
         two active points with exactly two points of each part on one side.
-        In general position line k of the subset is its pair k."""
+        In general position line k of P is its pair k, the (i, j), i < j,
+        numbered in lexicographic order."""
         active = active_L + active_R
-        sub = P.subset(active)
-        cand = candidate_lines(sub)
-        pts = np.arange(len(active))
-        left = pts < len(active_L)
+        pts = np.array(active)
+        left = np.arange(len(active)) < len(active_L)
+        A, B = np.triu_indices(len(active), 1)
+        i, j = np.minimum(pts[A], pts[B]), np.maximum(pts[A], pts[B])
+        pair_line = i * (2 * n - i - 1) // 2 + j - i - 1
         step = max(1, _KERNEL_THRESHOLD // len(active))
-        for lo in range(0, len(cand), step):
-            ents = np.arange(4 * lo, 4 * min(lo + step, len(cand)))
-            ls, (su, sv) = ents // 4, _STRICT_SIGNS[ents % 4].T
-            V = variant_signs(cand, ls, cand.I[ls], cand.J[ls], su, sv, pts)
+        for start in range(0, len(A), step):
+            ents = np.arange(4 * start, 4 * min(start + step, len(A)))
+            p, (su, sv) = ents // 4, _STRICT_SIGNS[ents % 4].T
+            V = variant_signs(cand, pair_line[p], pts[A[p]], pts[B[p]], su, sv, pts)
             ok = np.ones(len(ents), dtype=bool)
             for part in (V[left], V[~left]):
                 ok &= ((part > 0).sum(axis=0) == 2) | ((part < 0).sum(axis=0) == 2)
             if ok.any():
                 e = int(ents[np.argmax(ok)])
+                # The subset's points set the perturbation of the line.
+                sub = P.subset(active)
                 line = realize_variant(
-                    sub, int(cand.I[e // 4]), int(cand.J[e // 4]), *_STRICT_VARIANTS[e % 4]
+                    sub, int(A[e // 4]), int(B[e // 4]), *_STRICT_VARIANTS[e % 4]
                 )
                 # Each part's two points on the + side of the realized
                 # line, or else its two on the - side.
                 s = line_signs(sub, [line])[:, 0]
                 cutL, cutR = (
-                    np.array(active)[part & (s == (1 if (s[part] > 0).sum() == 2 else -1))].tolist()
+                    pts[part & (s == (1 if (s[part] > 0).sum() == 2 else -1))].tolist()
                     for part in (left, ~left)
                 )
                 return cutL, cutR, line

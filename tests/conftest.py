@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from seplines.geom import CanonicalLine, Point, line_through, orient
-from seplines.sepsys import PointSet
+from seplines.sepsys import PointSet, candidate_lines
 
 
 def rand_point(rng, denom: int = 997) -> Point:
@@ -56,7 +56,7 @@ def with_collinear_triple(n: int, seed: int, i: int, j: int) -> PointSet:
     from seplines.experiments import random_points
 
     base = random_points(n - 1, seed)
-    assert base.general_position
+    assert not candidate_lines(base).groups
     xs, ys, d = base.int_coords()
     den = [2 * d] * n
     return PointSet.from_ratios(

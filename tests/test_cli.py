@@ -521,6 +521,31 @@ def test_strict_greedy_on_collinear_points_exits_0(tmp_path, capsys):
     assert capsys.readouterr().out == "separating\n"
 
 
+# Points of one line, as (x, y) tokens of point k.
+ONE_LINE = {
+    "horizontal": lambda k: (f"{k}/7", "1/2"),
+    "vertical": lambda k: ("-3", f"{k}/5"),
+    "slanted": lambda k: (f"{k}/3", f"{7 - 2 * k}/5"),
+    "slanted-2^70": lambda k: (str(k * 2 ** 70), str((1 - 3 * k) * 2 ** 70 + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ONE_LINE))
+@pytest.mark.parametrize("n", [3, 14, 15, 16])
+@pytest.mark.parametrize("algo", ["auto", "greedy", "reweight"])
+def test_relaxed_solve_on_points_of_one_line_exits_0(tmp_path, capsys, algo, n, shape):
+    # The line through them separates nothing, so greedy takes its strict
+    # variants, on both sides of auto's exact-solver size cap.
+    pf = tmp_path / "line.txt"
+    pf.write_text("".join(" ".join(ONE_LINE[shape](k)) + "\n" for k in range(n)))
+    rc = main(["solve", "--input", str(pf), "--algo", algo, "--mode", "relaxed"])
+    assert rc == EXIT_OK
+    lf = tmp_path / "line.lines"
+    lf.write_text(capsys.readouterr().out)
+    assert main(["verify", "--points", str(pf), "--lines", str(lf), "--mode", "relaxed"]) == EXIT_OK
+    assert capsys.readouterr().out == "separating\n"
+
+
 @pytest.mark.parametrize("r", ["0", "-3"])
 def test_partition_nonpositive_r_exits_3(tmp_path, capsys, r):
     pf, lf = _write_grid_instance(tmp_path)

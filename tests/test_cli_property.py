@@ -1,6 +1,8 @@
 """Property tests of the CLI exit-code contract: on small degenerate
 inputs every algorithm in both modes exits 0 (and its output verifies)
-or 3, and `sep verify` on fuzzed files exits 0 to 3 without a traceback."""
+or 3, `sep verify` on fuzzed files exits 0 to 3, and `sep partition` on
+fuzzed files and options and `sep study` on bad --n lists exit 0, 2 or 3,
+all without a traceback."""
 import contextlib
 import io
 import os
@@ -98,4 +100,77 @@ def test_verify_exit_codes_on_fuzzed_files(points, lines, mode):
         rc, out, err = _run(["verify", "--points", pf, "--lines", lf, "--mode", mode])
     event(f"exit {rc}")
     assert rc in (EXIT_OK, EXIT_NOT_SEPARATING, EXIT_PARSE, EXIT_PRECONDITION), (rc, err)
+    assert "Traceback" not in err
+
+
+def _run_args(argv):
+    """_run, with argparse's rejection of an option value as its exit 2."""
+    try:
+        return _run(argv)
+    except SystemExit as e:
+        return e.code, "", ""
+
+
+# Option values at 0, negative, non-finite, non-numeric and huge.
+numbers = st.sampled_from(
+    ["0", "-1", "-7", "nan", "inf", "-inf", "x", "1e300", "1e400", str(10 ** 30)]
+)
+
+
+@st.composite
+def partition_options(draw):
+    """--r, --alpha and --seed with valid values, or half the time one of
+    them from ``numbers``."""
+    opts = {
+        "--r": str(draw(st.integers(1, 6))),
+        "--alpha": draw(st.sampled_from(["0.5", "2", "3.5"])),
+        "--seed": str(draw(st.integers(0, 3))),
+    }
+    bad = draw(st.sampled_from([None, None, None, "--r", "--alpha", "--seed"]))
+    if bad:
+        opts[bad] = draw(numbers)
+    return [v for kv in opts.items() for v in kv]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(point_files, line_files, partition_options(), st.sampled_from(["strict", "relaxed"]))
+def test_partition_exit_codes_on_fuzzed_files(points, lines, opts, mode):
+    """Every partition run exits 0, 2 or 3 and never prints a traceback:
+    only verify may exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pf, lf = os.path.join(tmp, "p.txt"), os.path.join(tmp, "l.txt")
+        with open(pf, "w", encoding="utf-8") as fh:
+            fh.write(points)
+        with open(lf, "w", encoding="utf-8") as fh:
+            fh.write(lines)
+        rc, _, err = _run_args(
+            ["partition", "--points", pf, "--lines", lf, "--mode", mode,
+             "--out", os.path.join(tmp, "part.json")] + opts
+        )
+    event(f"exit {rc}")
+    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION), (rc, err)
+    assert "Traceback" not in err
+
+
+# --n lists: valid ones, and ones with empty tokens, non-integers,
+# entries <= 0, unsorted or repeated entries. Every valid entry is at most
+# 64, so no study is large.
+n_lists = st.one_of(
+    st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True).map(sorted),
+    st.lists(
+        st.one_of(st.integers(-2, 64), st.sampled_from(["", " ", "x", "1.5", "2e1", "0x4", "--3"])),
+        max_size=4,
+    ),
+).map(lambda ns: ",".join(map(str, ns)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(["scaling", "trelax"]), n_lists,
+       st.one_of(st.integers(-2, 3).map(str), numbers))
+def test_study_exit_codes_on_bad_n_lists(what, n_list, t):
+    """Every scaling or trelax study exits 0, 2 or 3 and never prints a
+    traceback."""
+    rc, _, err = _run_args(["study", what, "--n", n_list, "--t", t, "--trials", "1"])
+    event(f"exit {rc}")
+    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION), (rc, err)
     assert "Traceback" not in err

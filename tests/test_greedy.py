@@ -157,6 +157,38 @@ def test_strict_greedy_on_collinear_points():
     assert lines == reference_greedy(P, STRICT)
 
 
+@pytest.mark.parametrize("mode", [RELAXED, STRICT], ids=["relaxed", "strict"])
+def test_greedy_on_two_points_takes_the_opposite_sides_variant(mode):
+    """Two points have one candidate line, so both modes take its first
+    separating variant, (-1, 1)."""
+    rng = random.Random(7)
+    for scale in (1, 3 ** 20, 2 ** 70):
+        for _ in range(8):
+            pts = [Point(Fraction(rng.randint(-9, 9) * scale, rng.randint(1, 4)),
+                         Fraction(rng.choice([0, rng.randint(-9, 9)]) * scale, rng.randint(1, 4)))
+                   for _ in range(2)]
+            if pts[0] == pts[1]:
+                continue
+            P = PointSet(pts)
+            assert greedy_hitting_set(P, mode) == [realize_variant(P, 0, 1, -1, 1)], pts
+
+
+def test_relaxed_greedy_on_points_of_one_line_is_strict_greedy():
+    """When all points lie on one line, relaxed greedy picks among that
+    line's strict variants, as strict greedy does."""
+    rng = random.Random(11)
+    for n in (3, 4, 7, 16):
+        for scale in (1, 2 ** 70):
+            dx, dy = rng.choice([(1, 0), (0, 1), (2, -3), (5, 7)])
+            ks = rng.sample(range(-20, 20), n)
+            P = PointSet([Point(Fraction(k * dx * scale, 3), Fraction(k * dy * scale + 1, 2))
+                          for k in ks])
+            assert len(candidate_lines(P)) == 1
+            lines = greedy_hitting_set(P, RELAXED)
+            assert lines == greedy_hitting_set(P, STRICT) == reference_greedy(P, STRICT)
+            assert verify(P, lines, RELAXED)
+
+
 def bincount_tally(cls, S, strict):
     """The tally greedy used before the indicator products: one bincount
     over (entry, class, sign)."""

@@ -36,13 +36,18 @@ def test_int_coords_clears_denominators():
     assert xs == [3, 1] and ys == [2, 6]
 
 
+def collinear(P) -> bool:
+    """Whether three points of P lie on one line, by candidate_lines."""
+    return bool(candidate_lines(P).groups)
+
+
 def test_general_position_detection():
-    assert SQUARE.general_position  # no 3 collinear
+    assert not collinear(SQUARE)  # no 3 collinear
     P = PointSet([pt(0, 0), pt(1, 1), pt(2, 2), pt(0, 1)])
-    assert not P.general_position
-    assert not PointSet([pt(0, 0), pt(1, 1), pt(2, 2)]).general_position
-    assert PointSet([pt(0, 0), pt(1, 1)]).general_position
-    assert rand_general_position_points(8, seed=5).general_position
+    assert collinear(P)
+    assert collinear(PointSet([pt(0, 0), pt(1, 1), pt(2, 2)]))
+    assert not collinear(PointSet([pt(0, 0), pt(1, 1)]))
+    assert not collinear(rand_general_position_points(8, seed=5))
 
 
 def test_general_position_matches_orientation_on_small_grids():
@@ -53,15 +58,14 @@ def test_general_position_matches_orientation_on_small_grids():
         k = int(rng.integers(3, 7))
         cells = rng.choice(16, size=k, replace=False)
         P = PointSet([pt(int(c) % 4, int(c) // 4 - 1) for c in cells])
-        collinear = any(orient(*t) == 0 for t in combinations(P.points, 3))
-        assert P.general_position == (not collinear)
-    assert not PointSet([pt(0, 1), pt(0, 0), pt(0, 2)]).general_position
-    assert not PointSet([pt(1, 1), pt(2, 0), pt(0, 2)]).general_position
+        assert collinear(P) == any(orient(*t) == 0 for t in combinations(P.points, 3))
+    assert collinear(PointSet([pt(0, 1), pt(0, 0), pt(0, 2)]))
+    assert collinear(PointSet([pt(1, 1), pt(2, 0), pt(0, 2)]))
 
 
 @pytest.mark.parametrize("n,i,j", [(513, 171, 342), (600, 597, 598)])
 def test_general_position_checked_past_512_points(n, i, j):
-    assert not with_collinear_triple(n, n, i, j).general_position
+    assert collinear(with_collinear_triple(n, n, i, j))
 
 
 def test_pairs_enumeration():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seplines import solvers
 from seplines.experiments import random_points
 from seplines.geom import CanonicalLine, pt, side
 from seplines.sepsys import (
@@ -355,6 +356,20 @@ def test_halving_size_and_verification(n):
     lines = halving_separator(P)
     assert len(lines) == math.ceil(n / 2)
     assert verify(P, lines, STRICT)
+
+
+def test_halving_builds_candidate_lines_once(monkeypatch):
+    # Every 2 + 2 cut reads P's candidate lines by pair number.
+    calls = []
+
+    def counted(P):
+        calls.append(len(P))
+        return candidate_lines(P)
+
+    monkeypatch.setattr(solvers, "candidate_lines", counted)
+    lines = halving_separator(rand_general_position_points(64, seed=764))
+    assert calls == [64]
+    assert len(lines) == 32
 
 
 # ---------------------------------------------------------------------------
