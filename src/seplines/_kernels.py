@@ -2,10 +2,20 @@
 numpy.
 
 A block's values a_j*x_i + b_j*y_i + c_j are one matrix product,
-``[X Y 1] @ [A; B; C]``, and their error bound a second one on absolute
-values. Kernels report *uncertain* entries whose magnitude falls under
-that conservative rounding-error bound; ``sepsys``, their one caller in
-the program, settles those entries in exact integers (``settle``).
+``[X Y 1] @ [A; B; C]``. Kernels report *uncertain* entries whose
+magnitude falls under a conservative rounding-error bound;
+``sepsys``, their one caller in the program, settles those entries in
+exact integers (``settle``). The bound is checked in two stages, a
+semi-static filter in the sense of Fortune & Van Wyk (ACM TOG 1996):
+first one bound per line, EPS_FACTOR * ((max|x|*|a_j| + max|y|*|b_j|) +
+|c_j|), the maxima over the non-NaN points; then, only for the entries
+that one leaves uncertain, the per-entry bound (|x_i|*|a_j| +
+|y_i|*|b_j| + |c_j|) * EPS_FACTOR, summed in that order. Rounding is
+monotone, so the line's bound is at least each entry's, and signs and
+uncertain mask are those of the per-entry bound on every input. A point
+far larger than the others sends nearly every entry to the second stage:
+the answer stays exact, only slower.
+
 Certain entries are guaranteed to carry the true sign, whatever order or
 fused multiply-adds the product uses, as long as every input is 0 or a
 normal double of magnitude within 2^-400..2^400, so that no product
@@ -37,22 +47,31 @@ def _as_f64(*arrays):
     return (np.ascontiguousarray(v, dtype=np.float64) for v in arrays)
 
 
-def _products(A, B, C, X, Y):
-    """Values [X Y 1] @ [A; B; C] and their error bounds, (n, m) each."""
-    P = np.stack([X, Y, np.ones_like(X)], axis=1)
-    L = np.stack([A, B, C])
-    vals = P @ L
-    np.abs(L, out=L)
-    L *= EPS_FACTOR
-    return vals, np.abs(P) @ L
-
-
 def _signs(A, B, C, X, Y):
-    vals, err = _products(A, B, C, X, Y)
+    L = np.stack([A, B, C])
+    vals = np.stack([X, Y, np.ones_like(X)], axis=1) @ L
+    np.abs(L, out=L)
+    ax, ay = np.abs(X), np.abs(Y)
+    # One bound per line, the maxima over the non-NaN points.
+    err = np.fmax.reduce(ax, initial=0.0) * L[0]
+    err += np.fmax.reduce(ay, initial=0.0) * L[1]
+    err += L[2]
+    err *= EPS_FACTOR
     # Comparisons with NaN are false, so NaN entries come out uncertain.
     pos = vals > err
     neg = vals < np.negative(err, out=err)
-    return pos.view(np.int8) - neg.view(np.int8), ~(pos | neg)
+    unc = pos | neg
+    np.logical_not(unc, out=unc)
+    k = np.flatnonzero(unc)
+    if len(k):  # the per-entry bound, for these entries only
+        i, j = np.divmod(k, vals.shape[1])
+        v = vals.take(k)
+        entry_err = (ax[i] * L[0, j] + ay[i] * L[1, j] + L[2, j]) * EPS_FACTOR
+        p, q = v > entry_err, v < -entry_err
+        np.put(pos, k, p)
+        np.put(neg, k, q)
+        np.put(unc, k, ~(p | q))
+    return pos.view(np.int8) - neg.view(np.int8), unc
 
 
 def eval_signs(A, B, C, X, Y):
@@ -133,9 +152,9 @@ def line_side_counts(A, B, C, X, Y):
     chunk = max(1, min(m, 2 ** 20 // max(n, 1)))
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
-        vals, err = _products(A[lo:hi], B[lo:hi], C[lo:hi], X, Y)
-        above[lo:hi] = np.count_nonzero(vals > err, axis=0)
-        below[lo:hi] = np.count_nonzero(vals < np.negative(err, out=err), axis=0)
-        del vals, err  # free this chunk's blocks before the next one's
+        signs, _ = _signs(A[lo:hi], B[lo:hi], C[lo:hi], X, Y)
+        above[lo:hi] = np.count_nonzero(signs > 0, axis=0)
+        below[lo:hi] = np.count_nonzero(signs < 0, axis=0)
+        del signs  # free this chunk's block before the next one's
     on = n - below - above
     return below, on, above

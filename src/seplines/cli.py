@@ -46,7 +46,9 @@ class ParseFileError(ValueError):
 def _rows(path: str, fields: str) -> Iterator[Tuple[int, List[str]]]:
     """(line number, tokens) of each row of a table file, ``#`` comments
     stripped and blank rows skipped; a read error or a row without one
-    token per name in ``fields`` raises ParseFileError."""
+    token per name in ``fields`` raises ParseFileError. The parsers fall
+    back to it for every file ``_columns`` does not take, so it alone
+    builds their error messages."""
     want = len(fields.split())
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -63,8 +65,57 @@ def _rows(path: str, fields: str) -> Iterator[Tuple[int, List[str]]]:
         raise ParseFileError(f"cannot read {path}: {e}")
 
 
-# An ASCII integer or p/q token; any other token goes through Fraction(str).
-_INT_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# The one token grammar of both readers: an ASCII integer, in point files
+# with an optional ASCII /denominator. A file with any other token goes to
+# the row reader, which reads such a coordinate through Fraction(str).
+_INT = r"[+-]?[0-9]+"
+_RATIO = rf"({_INT})(?:/([0-9]+))?"
+_INT_RATIO = re.compile(_RATIO)
+
+
+def _row_pattern(tok: str, want: int) -> "re.Pattern[str]":
+    """One row of a table file, from a line start through its newline (or
+    the end of the text): ``want`` tokens ``tok`` or none, separated by
+    spaces or tabs, then an optional ``#`` comment."""
+    toks = "[ \t]+".join([tok] * want)
+    return re.compile(rf"(?m)^[ \t]*(?:{toks}[ \t]*)?(?:#[^\n]*)?(?:\n|\Z)")
+
+
+_POINT_ROW = _row_pattern(_RATIO, 2)
+_LINE_ROW = _row_pattern(f"({_INT})", 3)
+
+
+def _columns(path: str, row: "re.Pattern[str]") -> Optional[List[List[int]]]:
+    """The integer columns of a table file, one per group of ``row`` (a
+    group that took no text, an omitted denominator, reads 1), read in
+    one pass over the whole text. None when ``row`` does not take every
+    row, when a token has more digits than int() reads, or when the file
+    cannot be read or decoded: the row reader then reads the file again."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    flat: List[int] = []
+    toks: List[str] = []  # converted a few thousand at a time, to bound memory
+    take = toks.extend
+    end = 0
+    try:
+        for m in row.finditer(text):
+            if m.start() != end:
+                return None
+            end = m.end()
+            if m.lastindex:  # not a blank or comment row
+                take(m.groups("1"))
+                if len(toks) >= 4096:
+                    flat += map(int, toks)
+                    toks.clear()
+        flat += map(int, toks)
+    except ValueError:
+        return None
+    if end != len(text):
+        return None
+    return [flat[k :: row.groups] for k in range(row.groups)]
 
 
 def _coord(tok: str) -> Tuple[int, int]:
@@ -90,26 +141,29 @@ def _coord(tok: str) -> Tuple[int, int]:
 
 
 def parse_point_file(path: str) -> PointSet:
-    xn: List[int] = []
-    xd: List[int] = []
-    yn: List[int] = []
-    yd: List[int] = []
-    for lineno, (tx, ty) in _rows(path, "x y"):
-        try:
-            (px, qx), (py, qy) = _coord(tx), _coord(ty)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseFileError(f"{path}:{lineno}: bad coordinate: {e}")
-        xn.append(px)
-        xd.append(qx)
-        yn.append(py)
-        yd.append(qy)
+    cols = _columns(path, _POINT_ROW)
+    if cols is None or 0 in cols[1] or 0 in cols[3]:  # row by row instead
+        cols = [[], [], [], []]
+        for lineno, (tx, ty) in _rows(path, "x y"):
+            try:
+                row = (*_coord(tx), *_coord(ty))
+            except (ValueError, ZeroDivisionError) as e:
+                raise ParseFileError(f"{path}:{lineno}: bad coordinate: {e}")
+            for col, v in zip(cols, row):
+                col.append(v)
     try:
-        return PointSet.from_ratios(xn, xd, yn, yd)
+        return PointSet.from_ratios(*cols)
     except ValueError as e:
         raise ParseFileError(f"{path}: {e}")
 
 
 def parse_line_file(path: str) -> List[CanonicalLine]:
+    cols = _columns(path, _LINE_ROW)
+    if cols is not None:
+        try:
+            return [CanonicalLine.from_ints(*abc) for abc in zip(*cols)]
+        except ValueError:
+            pass  # a degenerate row: the row reader names it
     lines: List[CanonicalLine] = []
     for lineno, toks in _rows(path, "a b c"):
         try:

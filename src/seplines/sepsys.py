@@ -99,10 +99,14 @@ def clear_denominators(
     and each cleared value is N/gcd: one lcm, one gcd and one exact
     division per value."""
     dens = {*xd, *yd}
-    L = math.lcm(1, *dens)
-    scale = {q: L // q for q in dens}
-    X = [p * scale[q] for p, q in zip(xn, xd)]
-    Y = [p * scale[q] for p, q in zip(yn, yd)]
+    if len(dens) == 1:  # one denominator: L is it, and every N is p
+        (L,) = dens
+        X, Y = list(xn), list(yn)
+    else:
+        L = math.lcm(1, *dens)
+        scale = {q: L // q for q in dens}
+        X = [p * scale[q] for p, q in zip(xn, xd)]
+        Y = [p * scale[q] for p, q in zip(yn, yd)]
     g = math.gcd(L, *X, *Y)
     if g > 1:
         X = [v // g for v in X]

@@ -406,13 +406,29 @@ def _class_tally(M: np.ndarray, size: np.ndarray, S: np.ndarray, strict: bool) -
     return c
 
 
+def _across_one_line(P: PointSet, cand: CandidateLines) -> List[CanonicalLine]:
+    """Relaxed separators of points that all lie on the one line of
+    ``cand``: the lines perpendicular to it through the 2nd, 4th, ...
+    point along it. Each puts its own point on itself and that point's
+    neighbours on opposite sides, so these floor(n/2) lines separate every
+    gap between neighbours; a line other than the common one meets it at
+    most once, so no fewer lines can."""
+    xs, ys, d = P.int_coords()
+    i, j = int(cand.I[0]), int(cand.J[0])
+    gx, gy = xs[j] - xs[i], ys[j] - ys[i]
+    key = [gx * x + gy * y for x, y in zip(xs, ys)]  # exact position along the line
+    along = sorted(range(len(key)), key=key.__getitem__)
+    return [CanonicalLine.from_ints(gx * d, gy * d, -key[k]) for k in along[1::2]]
+
+
 def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]:
     """Greedy baseline: repeatedly add the line separating the most
     currently-unseparated pairs (ties by canonical line order, then
     variant). Relaxed mode selects among the candidate lines themselves;
     strict mode selects among their four perturbed variants (candidate
     lines pass through two points and never strictly separate them), and
-    so does relaxed mode when all the points lie on one line.
+    so does relaxed mode on two points. Relaxed mode on three or more
+    points of one line takes ``_across_one_line``, the optimum.
 
     Batched lazy greedy (Minoux 1978): a count only falls as the classes
     of unseparated points refine, so a stale count bounds the current one.
@@ -426,8 +442,12 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
     cand = candidate_lines(P)
-    # When every point lies on one line, that line separates nothing, so
-    # even relaxed mode picks among its variants: each separates strictly.
+    if mode is SeparationMode.RELAXED and len(cand) == 1 and n > 2:
+        out = _across_one_line(P, cand)
+        _assert_separates(P, out, mode, "greedy_hitting_set")
+        return out
+    # Two points: their line separates nothing, so even relaxed mode picks
+    # among its variants, each of which separates strictly.
     strict = mode is SeparationMode.STRICT or len(cand) == 1
     # Lines in tie order (canonical coefficients): line l is candidate
     # rank[l]. An entry's id is its tie rank: entry l is line l in relaxed

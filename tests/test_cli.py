@@ -534,8 +534,8 @@ ONE_LINE = {
 @pytest.mark.parametrize("n", [3, 14, 15, 16])
 @pytest.mark.parametrize("algo", ["auto", "greedy", "reweight"])
 def test_relaxed_solve_on_points_of_one_line_exits_0(tmp_path, capsys, algo, n, shape):
-    # The line through them separates nothing, so greedy takes its strict
-    # variants, on both sides of auto's exact-solver size cap.
+    # The line through them separates nothing, so greedy takes lines
+    # across it, on both sides of auto's exact-solver size cap.
     pf = tmp_path / "line.txt"
     pf.write_text("".join(" ".join(ONE_LINE[shape](k)) + "\n" for k in range(n)))
     rc = main(["solve", "--input", str(pf), "--algo", algo, "--mode", "relaxed"])

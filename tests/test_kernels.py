@@ -215,6 +215,19 @@ def on_line_case(seed, scale):
     return exact_case(*through_pairs(xs, ys, pairs), xs, ys)
 
 
+def far_point_case():
+    # One point at 2^300 among points of magnitude under 10, with lines
+    # through pairs of the small points: each line's one bound, from
+    # max|x| = 2^300, leaves every entry but the far point's to the
+    # per-entry second stage.
+    rng = np.random.default_rng(7)
+    xs = [2 ** 300] + [int(v) for v in rng.integers(-9, 10, 23)]
+    ys = [int(v) for v in rng.integers(-9, 10, 24)]
+    pairs = [tuple(int(v) for v in rng.choice(np.arange(1, 24), 2, replace=False)) for _ in range(30)]
+    pairs = [(i, j) for i, j in pairs if (xs[i], ys[i]) != (xs[j], ys[j])]
+    return exact_case(*through_pairs(xs, ys, pairs), xs, ys)
+
+
 def big_int_case(seed):
     rng = np.random.default_rng(seed)
     G = 2 ** 40
@@ -248,6 +261,7 @@ KERNEL_CASES = {
     "range-edges": range_edge_case,
     "on-lines-small": lambda: on_line_case(1, 1000),
     "on-lines-2^40": lambda: on_line_case(2, 2 ** 40),
+    "far-point": far_point_case,
     "ints-2^40": lambda: big_int_case(3),
     "greedy-192x1041": lambda: candidate_block(192, 1041, 4),
     "greedy-96x2083": lambda: candidate_block(96, 2083, 5),
@@ -288,3 +302,12 @@ def test_line_side_counts_count_certain_entries(case):
     assert (below + on + above == len(X)).all()
     assert (below <= (exact < 0).sum(axis=0)).all()
     assert (above <= (exact > 0).sum(axis=0)).all()
+
+
+def test_far_point_leaves_nearly_every_entry_to_the_second_stage():
+    """The far-point case exercises the per-entry bound: the per-line
+    bound settles under a tenth of its entries."""
+    (A, B, C, X, Y), _ = KERNEL_CASES["far-point"]()
+    line_err = np.abs(X).max() * np.abs(A) + np.abs(Y).max() * np.abs(B) + np.abs(C)
+    vals = np.outer(X, A) + np.outer(Y, B) + C
+    assert (np.abs(vals) > line_err * K.EPS_FACTOR).mean() < 0.1
