@@ -13,8 +13,8 @@ import numpy as np
 
 from .geom import CanonicalLine, Point, line_through, sign
 from .sepsys import (
-    PointSet, PreconditionError, SeparationMode, find_unseparated_pair, int_str, key_groups,
-    line_signs, sign_keys,
+    LineSet, PointSet, PreconditionError, SeparationMode, find_unseparated_pair, int_str,
+    key_groups, sign_keys,
 )
 
 ARRANGEMENT_LINE_CAP = 512
@@ -194,7 +194,7 @@ def _assign_points(
     and no earlier face's does. Only that one face's triangles are tested."""
     starts = np.cumsum([0] + [len(ft) for ft in face_tris])
     F = np.array(arr.signs, dtype=np.int8)
-    S = line_signs(P, arr.lines)
+    S = LineSet.of(arr.lines).signs(P)
     first, inv = key_groups(sign_keys(np.concatenate([F, S])))
     tri_of = np.zeros(len(P), dtype=np.int64)
     ties = 0
@@ -208,7 +208,7 @@ def _assign_points(
             # vertex's side or on the line.
             edges = [line_through(a, b), line_through(b, c), line_through(c, a)]
             want = np.array([sign(e.eval_at(v)) for e, v in zip(edges, (c, a, b))], dtype=np.int8)
-            s = line_signs(P, edges, idx)
+            s = LineSet.of(edges).signs(P, idx)
             on = s == 0
             inside = ((s == want) | on).all(axis=1)
             tri_of[idx[inside]] = t
@@ -292,7 +292,7 @@ def stabbing_stats(
     if not test_lines:
         return 0, 0.0
     verts = list(dict.fromkeys(v for tri in partition.triangles for v in tri))
-    signs = line_signs(PointSet(verts), test_lines)
+    signs = LineSet.of(test_lines).signs(PointSet(verts))
     pos = {v: k for k, v in enumerate(verts)}
     s = signs[np.array([pos[v] for tri in partition.triangles for v in tri], dtype=np.int64)]
     s = s.reshape(len(partition.triangles), 3, len(test_lines))

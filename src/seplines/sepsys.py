@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,9 +46,6 @@ def float_array(values: Sequence) -> np.ndarray:
             top = 0  # int64 or empty
         if top.bit_length() <= _FLOAT_EXP:
             return values.astype(np.float64)  # numpy rounds ints as float() does
-    elif all(type(v) is int for v in values):
-        if max(map(abs, values), default=0).bit_length() <= _FLOAT_EXP:
-            return np.array(values, dtype=np.float64)
     return np.array([conv(v) for v in values], dtype=np.float64)
 
 
@@ -236,59 +232,80 @@ def _line_coeffs(P: PointSet, I: np.ndarray, J: np.ndarray) -> Tuple[np.ndarray,
     return p * e, q * e, c // g
 
 
-@dataclass
-class CandidateLines:
-    """The distinct lines through pairs of points of P, as index arrays.
+class LineSet:
+    """m lines for the sign kernel, numbered 0..m-1.
 
-    Line k is the line through its first incident pair (I[k], J[k]), and
-    the lines are numbered in the order of those pairs. A, B and C are the
-    float_array columns of their canonical coefficients, for the kernels;
-    ``coeffs`` recomputes exact ones and ``lines`` builds CanonicalLine
-    objects, each only for the lines asked for. ``groups`` holds the
-    incident pairs, in pair order, of each line through three or more
-    points; every other line has one. In general position there are
-    C(n,2) lines and no groups."""
+    ``ABC`` is the (3, m) float_array matrix of their canonical
+    coefficients, with rows ``A``, ``B`` and ``C``. The exact coefficients
+    come on demand (``coeffs``, ``lines``): from ``E``, a (3, m)
+    object array of Python ints, or, when it is None, from a point pair
+    (I[k], J[k]) of the PointSet ``P`` on each line, by ``_line_coeffs``.
+    Those pair points lie on their lines, so ``signs`` at P leaves their
+    entries at the kernel's 0 without settling them. ``ls[idx]`` is the sub-collection
+    of the lines ``idx`` (an index array, or a slice, which copies no
+    column); iterating gives the lines as CanonicalLines."""
 
-    P: PointSet
-    I: np.ndarray
-    J: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    groups: Dict[int, List[PairId]] = field(default_factory=dict)
+    def __init__(self, ABC: np.ndarray, E=None, P: Optional[PointSet] = None, I=None, J=None):
+        self.ABC, (self.A, self.B, self.C) = ABC, ABC
+        self.E, self.P, self.I, self.J = E, P, I, J
+
+    @classmethod
+    def of(cls, lines) -> "LineSet":
+        """``lines`` itself if it is a LineSet, else the LineSet of a
+        sequence of CanonicalLines, in their order."""
+        if isinstance(lines, LineSet):
+            return lines
+        E = np.array([l.coeffs() for l in lines], dtype=object).reshape(-1, 3).T
+        return cls(float_array(E.ravel()).reshape(3, -1), E)
 
     def __len__(self):
-        return len(self.I)
+        return self.ABC.shape[1]
 
-    def coeffs(self, idx: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
+    def __iter__(self):
+        return iter(self.lines())
+
+    def __getitem__(self, idx) -> "LineSet":
+        E, I, J = (None if V is None else V[..., idx] for V in (self.E, self.I, self.J))
+        return LineSet(self.ABC[:, idx], E, self.P, I, J)
+
+    def coeffs(self, idx=slice(None)) -> Tuple[List[int], List[int], List[int]]:
         """Exact canonical (a, b, c) of the lines ``idx``, as Python ints."""
-        return tuple(v.tolist() for v in _line_coeffs(self.P, self.I[idx], self.J[idx]))
+        if self.E is None:
+            return tuple(v.tolist() for v in _line_coeffs(self.P, self.I[idx], self.J[idx]))
+        return tuple(self.E[:, idx].tolist())
 
-    def lines(self, idx: Optional[np.ndarray] = None) -> List[CanonicalLine]:
+    def lines(self, idx=slice(None)) -> List[CanonicalLine]:
         """The lines ``idx`` (default: all) as CanonicalLine objects."""
-        idx = np.arange(len(self)) if idx is None else np.asarray(idx, dtype=np.int64)
         return [CanonicalLine(*abc) for abc in zip(*self.coeffs(idx))]
 
-    def signs(self, ls, pts: np.ndarray) -> np.ndarray:
-        """Exact signs of the lines ``ls`` (an index array, or a slice,
-        which copies no column) at the points ``pts`` (distinct, in any
-        order), an int8 array of shape (points, lines): the float kernel,
-        with the points of each line's first pair set to 0 and every other
-        uncertain entry settled in integers."""
-        xf, yf = self.P.float_coords()
-        S, unc = _kernels.eval_signs(self.A[ls], self.B[ls], self.C[ls], xf[pts], yf[pts])
-        I, J = self.I[ls], self.J[ls]
-        row_of = np.full(len(self.P), -1)  # point -> row of S, or -1
-        row_of[pts] = np.arange(len(pts))
-        for V in (I, J):
-            row = row_of[V]
-            col = np.flatnonzero(row >= 0)
-            S[row[col], col] = 0
-            unc[row[col], col] = False
-        return settle(
-            self.P, lambda cols: tuple(v.tolist() for v in _line_coeffs(self.P, I[cols], J[cols])),
-            S, unc, pts,
-        )
+    def signs(self, P: PointSet, pts: Optional[np.ndarray] = None) -> np.ndarray:
+        """Exact signs of the lines at the points ``pts`` of P (distinct, in
+        any order; default all), an int8 array of shape (points, lines):
+        the float kernel, with the known points on each line set to 0 and
+        every other uncertain entry settled in integers."""
+        pts = np.arange(len(P)) if pts is None else pts
+        xf, yf = P.float_coords()
+        S, unc = _kernels.eval_signs(*self.ABC, xf[pts], yf[pts])
+        if P is self.P:  # the kernel leaves these entries 0 and uncertain
+            row_of = np.full(len(P), -1)  # point -> row of S, or -1
+            row_of[pts] = np.arange(len(pts))
+            for row in (row_of[self.I], row_of[self.J]):
+                col = np.flatnonzero(row >= 0)
+                unc[row[col], col] = False
+        return settle(P, self, S, unc, pts)
+
+
+class CandidateLines(LineSet):
+    """The distinct lines through pairs of points of P, as a LineSet of
+    index arrays: line k is the line through its first incident pair
+    (I[k], J[k]), and the lines are numbered in the order of those pairs.
+    ``groups`` holds the incident pairs, in pair order, of each line
+    through three or more points; every other line has one. In general
+    position there are C(n,2) lines and no groups."""
+
+    def __init__(self, P: PointSet, I, J, ABC, groups: Optional[Dict[int, List[PairId]]] = None):
+        super().__init__(ABC, None, P, I, J)
+        self.groups = groups or {}
 
     def incidences(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(line, i, j) of every pair (i, j) of points of P, i < j, in pair
@@ -310,7 +327,7 @@ class CandidateLines:
         (out of float_array's range), which first becomes -inf or +inf by
         the exact sign. Those runs are sorted by exact coefficients."""
         keys = []
-        for col, V in enumerate((self.A, self.B, self.C)):
+        for col, V in enumerate(self.ABC):
             nan = np.flatnonzero(np.isnan(V))
             if len(nan):
                 V = V.copy()
@@ -343,19 +360,17 @@ def candidate_lines(P: PointSet) -> CandidateLines:
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
     I, J = np.triu_indices(n, 1)
-    cols = [[], [], []]
+    ABC = np.empty((3, len(I)))
     for lo in range(0, len(I), _PAIR_BLOCK):
         blk = slice(lo, lo + _PAIR_BLOCK)
-        for col, v in zip(cols, _line_coeffs(P, I[blk], J[blk])):
-            col.append(float_array(v))
-    A, B, C = (np.concatenate(col) for col in cols)
-    order = np.lexsort((C, B, A))
+        ABC[:, blk] = [float_array(v) for v in _line_coeffs(P, I[blk], J[blk])]
+    order = np.lexsort(ABC[::-1])
     tied = np.ones(len(order) - 1, dtype=bool)
-    for V in (A, B, C):
+    for V in ABC:
         s = V[order]
         tied &= (s[1:] == s[:-1]) | (np.isnan(s[1:]) & np.isnan(s[:-1]))
     if not tied.any():
-        return CandidateLines(P, I, J, A, B, C)
+        return CandidateLines(P, I, J, ABC)
     suspects = np.unique(np.r_[order[:-1][tied], order[1:][tied]])
     by_line: Dict[Tuple[int, int, int], List[int]] = {}
     exact = zip(*(v.tolist() for v in _line_coeffs(P, I[suspects], J[suspects])))
@@ -370,55 +385,39 @@ def candidate_lines(P: PointSet) -> CandidateLines:
         int(k): [(int(I[q]), int(J[q])) for q in ks]
         for k, ks in zip(np.searchsorted(first, [ks[0] for ks in shared]), shared)
     }
-    return CandidateLines(P, I[first], J[first], A[first], B[first], C[first], groups)
-
-
-def line_signs(
-    P: PointSet, lines: Sequence[CanonicalLine], idx: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Exact signs of the lines at the points ``idx`` (default: all), as an
-    int8 array of shape (points, lines): the float kernel, with every
-    uncertain entry settled in integers."""
-    xf, yf = P.float_coords()
-    if idx is not None:
-        xf, yf = xf[idx], yf[idx]
-    abc = float_array([v for l in lines for v in (l.a, l.b, l.c)])
-    signs, unc = _kernels.eval_signs(abc[0::3], abc[1::3], abc[2::3], xf, yf)
-    return settle(P, lambda cols: zip(*(lines[j].coeffs() for j in cols)), signs, unc, idx)
+    return CandidateLines(P, I[first], J[first], ABC[:, first], groups)
 
 
 def settle(
-    P: PointSet, coeffs: Callable[[np.ndarray], Tuple[Sequence[int], ...]],
-    signs: np.ndarray, unc: np.ndarray, idx: Optional[np.ndarray] = None,
+    P: PointSet, lines: LineSet, signs: np.ndarray, unc: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
-    """Set the entries of a kernel sign block (points ``idx``, default
-    all, by lines) that ``unc`` flags to their exact signs, computed in
-    integers. ``coeffs(cols)`` gives the exact (a, b, c) of the lines of
-    the columns ``cols``, as three sequences of Python ints."""
+    """Set the entries of a kernel sign block (points ``pts`` by
+    ``lines``) that ``unc`` flags to their exact signs, computed in
+    integers from the lines' exact coefficients."""
     if unc.any():
         ui, uj = np.nonzero(unc)
         cols, at = np.unique(uj, return_inverse=True)
-        a, b, c = coeffs(cols)
+        a, b, c = lines.coeffs(cols)
         xs, ys, d = P.int_coords()
-        pts = (ui if idx is None else idx[ui]).tolist()
         signs[ui, uj] = [
-            sign(a[k] * xs[i] + b[k] * ys[i] + c[k] * d) for i, k in zip(pts, at.tolist())
+            sign(a[k] * xs[i] + b[k] * ys[i] + c[k] * d)
+            for i, k in zip(pts[ui].tolist(), at.tolist())
         ]
     return signs
 
 
 def _family_slots(P: PointSet, pts: np.ndarray, direction: Tuple[int, int], fam):
     """(lo, hi) for each point of ``pts`` against a family of distinct
-    parallel lines: lo counts the lines with the point on their positive
-    side, hi - lo is 1 if the point lies on one of them, else 0."""
+    parallel lines g_k*(p*x + q*y) + c_k = 0, given as pairs (g_k > 0, c_k):
+    lo counts the lines with the point on their positive side, hi - lo is
+    1 if the point lies on one of them, else 0."""
     p, q = direction
     d = P.int_coords()[2]
     xmax, ymax = P.int_arrays[2:]
-    # Line k is g_k * (p, q) + c_k, so a*x + b*y + c has the sign of
-    # G*(p*X + q*Y) - T_k with G = lcm(g_k) and T_k = -c_k * D * G / g_k.
-    scale = [(l.a // p) if p else (l.b // q) for l in fam]
-    G = math.lcm(*scale)
-    T = sorted(-l.c * d * (G // g) for l, g in zip(fam, scale))
+    # The sign of g_k * (p*x + q*y) + c_k is that of G*(p*X + q*Y) - T_k
+    # with G = lcm(g_k) and T_k = -c_k * D * G / g_k.
+    G = math.lcm(*(g for g, _ in fam))
+    T = sorted(-c * d * (G // g) for g, c in fam)
     # int64 when every coordinate, G, p, q, key and offset fits in 62 bits.
     top = max(G * (abs(p) * (xmax + 1) + abs(q) * (ymax + 1)), xmax, ymax, -T[0], T[-1])
     dtype = np.int64 if top < 2 ** 62 else object
@@ -471,11 +470,9 @@ def _split_block(cls, signs, row, mode, *carry):
     return cls, carry
 
 
-def refine(
-    P: PointSet, lines: Sequence[CanonicalLine], mode: SeparationMode
-) -> List[np.ndarray]:
-    """The classes of two or more points the lines leave together, each
-    as a sorted index array.
+def refine(P: PointSet, lines, mode: SeparationMode) -> List[np.ndarray]:
+    """The classes of two or more points the lines (a LineSet, or
+    CanonicalLines) leave together, each as a sorted index array.
 
     Relaxed: a class is a set of points with one exact sign vector.
     Strict: a point lying on a line joins both sides of it, so a class is
@@ -484,42 +481,43 @@ def refine(
     in several classes. Each pair of points shares at most two classes, so
     the work stays polynomial however many lines meet at a point.
 
-    Lines are grouped by direction. Each family of two or more parallel
-    lines splits the live points in one step, by binary search of a*x+b*y
-    among its sorted offsets in exact integers. The other lines split them
-    a kernel block (``_KERNEL_THRESHOLD`` entries) at a time, by one exact
-    key per copy: class label bytes, then sign_keys; strict mode splits by
-    a line through a live point alone, as it duplicates the copies on it.
+    Lines are grouped by exact direction. Each family of two or more
+    parallel lines splits the live points in one step, by binary search
+    of a*x+b*y among its sorted offsets in exact integers. The other lines
+    split them a kernel block (``_KERNEL_THRESHOLD`` entries) at a time,
+    by one exact key per copy: class label bytes, then sign_keys; strict
+    mode splits by a line through a live point alone, as it duplicates
+    the copies on it.
     """
     n = len(P)
     if n <= 1:
         return []
-    fams: Dict[Tuple[int, int], List[CanonicalLine]] = {}
-    for l in dict.fromkeys(lines):
-        g = math.gcd(l.a, l.b)
-        fams.setdefault((l.a // g, l.b // g), []).append(l)
+    lines = LineSet.of(lines)
+    a, b, c = lines.coeffs()
+    # direction (a, b) / g -> {(g, c): first index} of its distinct lines
+    fams: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
+    for k, (ak, bk, ck, gk) in enumerate(zip(a, b, c, map(math.gcd, a, b))):
+        fams.setdefault((ak // gk, bk // gk), {}).setdefault((gk, ck), k)
     pid = np.arange(n)
     cls = np.zeros(n, dtype=np.int64)
     singles = []
     for direction, fam in sorted(fams.items(), key=lambda kv: -len(kv[1])):
         if len(fam) == 1:
-            singles.append(fam[0])
+            singles.extend(fam.values())
             continue
-        lo, hi = _family_slots(P, pid, direction, fam)
+        lo, hi = _family_slots(P, pid, direction, list(fam))
         cls, (pid,) = _split(cls, lo, hi, len(fam) + 1, mode, pid)
     start = 0
     while start < len(singles) and len(pid):
         live, row = np.unique(pid, return_inverse=True)
         block = singles[start : start + max(1, _KERNEL_THRESHOLD // len(live))]
         start += len(block)
-        cls, (pid,) = _split_block(cls, line_signs(P, block, live), row, mode, pid)
+        cls, (pid,) = _split_block(cls, lines[block].signs(P, live), row, mode, pid)
     order = np.lexsort((pid, cls))
     return np.split(pid[order], np.nonzero(np.diff(cls[order]))[0] + 1) if len(pid) else []
 
 
-def find_unseparated_pair(
-    P: PointSet, lines: Sequence[CanonicalLine], mode: SeparationMode
-) -> Optional[PairId]:
+def find_unseparated_pair(P: PointSet, lines, mode: SeparationMode) -> Optional[PairId]:
     """First (lexicographically smallest) pair of points not separated by
     any line under the mode, or None if the lines separate P."""
     classes = refine(P, lines, mode)

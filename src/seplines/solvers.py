@@ -28,6 +28,7 @@ from .geom import CanonicalLine, int_line_through, sign
 from .sepsys import (
     CandidateLines,
     GeneralPositionError,
+    LineSet,
     PairId,
     PointSet,
     PreconditionError,
@@ -39,7 +40,6 @@ from .sepsys import (
     candidate_lines,
     find_unseparated_pair,
     key_groups,
-    line_signs,
     properize,
     rotate_line,
     sign_keys,
@@ -185,7 +185,7 @@ def variant_signs(
     g = p_i - p_j, in integers: su for a translation (su = sv), and for
     the midpoint rotation (su = -sv) su on p_i's half and sv on p_j's."""
     lines, col = np.unique(ls, return_inverse=True)
-    S = cand.signs(lines, pts)[:, col]
+    S = cand[lines].signs(cand.P, pts)[:, col]
     row_of = np.full(len(cand.P), -1)  # point -> row of S, or -1
     row_of[pts] = np.arange(len(pts))
     for V, s in ((i, su), (j, sv)):
@@ -215,12 +215,12 @@ def variant_signs(
 # verification
 
 
-def verify(P: PointSet, L: Sequence[CanonicalLine], mode: SeparationMode) -> bool:
-    """True iff L separates every pair of P under the mode."""
-    return find_unseparated_pair(P, list(L), mode) is None
+def verify(P: PointSet, L, mode: SeparationMode) -> bool:
+    """True iff the lines L separate every pair of P under the mode."""
+    return find_unseparated_pair(P, L, mode) is None
 
 
-def _assert_separates(P: PointSet, L: Sequence[CanonicalLine], mode: SeparationMode, who: str):
+def _assert_separates(P: PointSet, L, mode: SeparationMode, who: str):
     if not verify(P, L, mode):
         raise VerificationError(f"{who} produced a non-separating set (internal bug)")
 
@@ -243,7 +243,7 @@ def _exact_pool(P: PointSet, mode: SeparationMode) -> Tuple[List[CanonicalLine],
     pairs = P.pairs()
     variants = _STRICT_VARIANTS if mode is SeparationMode.STRICT else _RELAXED_VARIANTS
     pool = [realize_variant(P, i, j, su, sv) for i, j in pairs for su, sv in variants]
-    S = line_signs(P, pool)
+    S = LineSet.of(pool).signs(P)
     I, J = np.array(pairs).T
     hit = S[I] * S[J] == -1 if mode is SeparationMode.STRICT else S[I] != S[J]
     masks = _bits(hit.T)
@@ -435,7 +435,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
     Every bound starts at C(n, 2), so the first round counts every entry.
     Each round walks the entries by (stale bound, tie rank) a block at a
     time, taking a block's exact signs at the live points (those in a
-    class of two or more) from ``CandidateLines.signs``, or
+    class of two or more) from its candidate lines' ``signs``, or
     ``variant_signs`` in strict mode, and its counts from one tally, and
     stops once the best exact count beats the next stale bound."""
     n = len(P)
@@ -466,7 +466,7 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
     def entry_block(blk: np.ndarray) -> np.ndarray:
         """Exact signs of the entries blk at the live points, (live, len(blk))."""
         if not strict:
-            return cand.signs(rank[blk], pid)
+            return cand[rank[blk]].signs(P, pid)
         p, (su, sv) = blk // 4, _STRICT_SIGNS[blk % 4].T
         return variant_signs(cand, pair_line[p], I[p], J[p], su, sv, pid)
 
@@ -511,21 +511,23 @@ def greedy_hitting_set(P: PointSet, mode: SeparationMode) -> List[CanonicalLine]
 
 def _pair_hits(cand: CandidateLines, pair: PairId) -> np.ndarray:
     """The candidate lines that relaxed-hit the pair, ascending, exact."""
-    S = cand.signs(slice(None), np.array(pair))
+    S = cand.signs(cand.P, np.array(pair))
     return np.flatnonzero(S[0] != S[1])
 
 
-def _prune_redundant(P: PointSet, lines: List[CanonicalLine]) -> List[CanonicalLine]:
-    """Drop lines, first to last, whose removal keeps the set separating
-    in relaxed mode, that is, keeps the points' exact sign rows distinct:
-    their sign_keys, with the bits of the dropped lines masked off."""
-    K = sign_keys(line_signs(P, lines))
+def _prune_redundant(P: PointSet, lines) -> List[CanonicalLine]:
+    """Drop lines (a LineSet, or CanonicalLines), first to last, whose
+    removal keeps the set separating in relaxed mode, that is, keeps the
+    points' exact sign rows distinct: their sign_keys, with the bits of
+    the dropped lines masked off. The kept lines, as CanonicalLines."""
+    lines = LineSet.of(lines)
+    K = sign_keys(lines.signs(P))
     keep = np.ones(len(lines), dtype=bool)
     for i in range(len(lines)):
         keep[i] = False
         if not keep.any() or len(key_groups(K & np.tile(np.packbits(keep), 2))[0]) < len(P):
             keep[i] = True
-    return [l for l, k in zip(lines, keep) if k]
+    return lines.lines(np.flatnonzero(keep))
 
 
 def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
@@ -562,7 +564,7 @@ def reweight_approx(P: PointSet, seed: int = 0) -> SolveResult:
         for r in range(1, round_cap + 1):
             total_rounds += 1
             idx = np.unique(ws.sample(rng, sample_size))
-            R = cand.lines(idx)
+            R = cand[idx]
             pair = find_unseparated_pair(P, R, SeparationMode.RELAXED)
             if pair is None:
                 history.append((k, r, True))
@@ -676,7 +678,7 @@ def halving_separator(P: PointSet) -> List[CanonicalLine]:
                 )
                 # Each part's two points on the + side of the realized
                 # line, or else its two on the - side.
-                s = line_signs(sub, [line])[:, 0]
+                s = LineSet.of([line]).signs(sub)[:, 0]
                 cutL, cutR = (
                     pts[part & (s == (1 if (s[part] > 0).sum() == 2 else -1))].tolist()
                     for part in (left, ~left)

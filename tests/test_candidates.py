@@ -12,7 +12,7 @@ import pytest
 
 from seplines import solvers
 from seplines.geom import CanonicalLine, int_line_through
-from seplines.sepsys import PointSet, SeparationMode, candidate_lines, float_array, line_signs
+from seplines.sepsys import LineSet, PointSet, SeparationMode, candidate_lines, float_array
 
 from .conftest import incident_pairs
 
@@ -113,9 +113,10 @@ def test_coeff_order_breaks_float_ties_exactly():
 
 
 def test_solvers_build_no_line_object_per_candidate(monkeypatch):
-    """Greedy (both modes) and reweighting on 64 points in general
-    position build CanonicalLine objects only for the lines they sample
-    or output: far fewer than one per candidate."""
+    """Greedy (both modes) on 64 points in general position builds
+    CanonicalLine objects only for the lines it outputs or realizes: far
+    fewer than one per candidate. Reweighting builds them only for the
+    lines it returns, none for the samples of its rounds."""
     count = [0]
     post_init = CanonicalLine.__post_init__
 
@@ -126,22 +127,22 @@ def test_solvers_build_no_line_object_per_candidate(monkeypatch):
     monkeypatch.setattr(CanonicalLine, "__post_init__", counting)
     P = general(random.Random(64), 64, 40)
     cap = math.comb(64, 2) / 10
-    runs = [
-        lambda: solvers.greedy_hitting_set(P, SeparationMode.RELAXED),
-        lambda: solvers.greedy_hitting_set(P, SeparationMode.STRICT),
-        lambda: solvers.reweight_approx(P, seed=0),
-    ]
-    for run in runs:
+    for mode in (SeparationMode.RELAXED, SeparationMode.STRICT):
         count[0] = 0
-        run()
+        solvers.greedy_hitting_set(P, mode)
         assert 0 < count[0] < cap
+    count[0] = 0
+    res = solvers.reweight_approx(P, seed=0)
+    assert 0 < count[0] <= len(res.lines)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_signs_match_line_signs(name):
-    """cand.signs(ls, pts) is line_signs over the same lines, for lines
-    given by slices and by an unsorted index array, at all points and at
-    unsorted subsets of them."""
+    """The signs of a sub-collection of the candidate lines, which sets
+    each line's first-pair points to 0 unsettled, equal those of the same
+    lines as CanonicalLines, which settles every uncertain entry: for
+    lines given by slices and by an unsorted index array, at all points
+    and at unsorted subsets of them."""
     P = CASES[name]
     cand = candidate_lines(P)
     rng = np.random.default_rng(len(P))
@@ -150,9 +151,10 @@ def test_signs_match_line_signs(name):
     lines = [(slice(None), every), (slice(1, None, 2), every[1::2]), (some, some)]
     for pts in (np.arange(len(P)), rng.permutation(len(P)), rng.permutation(len(P))[::2]):
         for ls, idx in lines:
-            got = cand.signs(ls, pts)
+            got = cand[ls].signs(P, pts)
             assert got.dtype == np.int8
-            assert np.array_equal(got, line_signs(P, cand.lines(idx), pts)), (pts, ls)
+            want = LineSet.of(cand.lines(idx)).signs(P, pts)
+            assert np.array_equal(got, want), (pts, ls)
 
 
 def test_signs_cases_cover_groups_and_nan_columns():

@@ -497,7 +497,7 @@ def test_partition_command(tmp_path, capsys):
 def test_partition_non_separating_exits_3(tmp_path, capsys):
     pf, lf = _write_grid_instance(tmp_path)
     short = tmp_path / "short.txt"
-    short.write_text(open(lf).readline())
+    short.write_text(Path(lf).read_text().splitlines(keepends=True)[0])
     rc = main(
         ["partition", "--points", pf, "--lines", str(short), "--r", "4",
          "--seed", "2", "--out", str(tmp_path / "x.json")]

@@ -20,7 +20,6 @@ from seplines.sepsys import (
     PointSet,
     SeparationMode,
     candidate_lines,
-    line_signs,
 )
 from seplines.solvers import (
     _STRICT_VARIANTS,

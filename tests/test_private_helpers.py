@@ -2,7 +2,8 @@
 function or class of src/seplines whose name starts with ``_`` must be
 named somewhere in src/seplines outside its own definition. And the float
 kernels have one caller: only ``sepsys``, which settles what they flag,
-imports ``_kernels``."""
+imports ``_kernels``, and every sign query goes through one call of
+``eval_signs``, in ``LineSet.signs``, the one caller of ``settle``."""
 import ast
 from pathlib import Path
 
@@ -79,3 +80,43 @@ def test_detects_kernel_importers():
 def test_only_sepsys_imports_kernels():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert kernel_importers(sources) == ["sepsys"]
+
+
+def call_sites(sources, name):
+    """(module, innermost enclosing function, or "<module>") of each call
+    of ``name``, as a bare name or an attribute, in ``sources`` (module
+    name -> source); a lambda counts as a function "<lambda>"."""
+    out = []
+
+    def visit(module, node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Lambda):
+            where = "<lambda>"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                out.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, where)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return sorted(out)
+
+
+def test_detects_call_sites():
+    sources = {
+        "a": "def f():\n    _kernels.eval_signs(1)\n    g = lambda: eval_signs(2)\n",
+        "b": "eval_signs(3)\nclass C:\n    def signs(self):\n        return K.eval_signs(4)\n",
+        "c": "from ._kernels import eval_signs\nx = eval_signs\n",
+    }
+    assert call_sites(sources, "eval_signs") == [
+        ("a", "<lambda>"), ("a", "f"), ("b", "<module>"), ("b", "signs")
+    ]
+
+
+def test_one_kernel_call_site():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert call_sites(sources, "eval_signs") == [("sepsys", "signs")]
+    assert call_sites(sources, "settle") == [("sepsys", "signs")]

@@ -278,6 +278,11 @@ def brute_family_slots(P, pts, fam):
     return [sum(v > 0 for v in row) for row in vals], [sum(v >= 0 for v in row) for row in vals]
 
 
+def scales_and_offsets(fam):
+    """The (gcd(a, b), c) of each line, as refine gives a family to _family_slots."""
+    return [(math.gcd(l.a, l.b), l.c) for l in fam]
+
+
 def family_slot_cases(P):
     """Families of 2..9 distinct lines 3x - 2y + c = 0, some through
     points of P and some between them; point index arrays with repeats,
@@ -316,7 +321,7 @@ def test_family_slots_match_python_ints(regime):
     assert (max(map(abs, xs + ys)) >= 2 ** 62) == (regime == "coordinates past 2^62")
     keys_big = on_line = False
     for pts, fam in family_slot_cases(P):
-        lo, hi = _family_slots(P, pts, (3, -2), fam)
+        lo, hi = _family_slots(P, pts, (3, -2), scales_and_offsets(fam))
         assert (lo.tolist(), hi.tolist()) == brute_family_slots(P, pts, fam)
         on_line |= bool((hi > lo).any())
         G = math.lcm(*(math.gcd(l.a, l.b) for l in fam))
@@ -335,6 +340,6 @@ def test_family_slots_one_factor_past_int64(case):
         P = PointSet([Point(k * 10 ** 25, k) for k in range(3)])
         fam, direction = [CanonicalLine(0, 2, -1), CanonicalLine(0, 2, -3)], (0, 1)
     pts = np.arange(3)
-    lo, hi = _family_slots(P, pts, direction, fam)
+    lo, hi = _family_slots(P, pts, direction, scales_and_offsets(fam))
     assert (lo.tolist(), hi.tolist()) == brute_family_slots(P, pts, fam)
     assert find_unseparated_pair(P, fam, STRICT) is None

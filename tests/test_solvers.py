@@ -11,8 +11,8 @@ from seplines import solvers
 from seplines.experiments import random_points
 from seplines.geom import CanonicalLine, pt, side
 from seplines.sepsys import (
-    PointSet, PreconditionError, SeparationMode, TooFewPointsError, candidate_lines,
-    line_signs, properize,
+    LineSet, PointSet, PreconditionError, SeparationMode, TooFewPointsError, candidate_lines,
+    properize,
 )
 from seplines.solvers import (
     EXACT_SIZE_CAP,
@@ -99,7 +99,7 @@ def test_variant_signs_match_realized_variants(case):
     su, sv = np.array([(-1, -1), (-1, 1), (1, -1), (1, 1)], dtype=np.int8)[E % 4].T
     V = variant_signs(cand, L[E // 4], i, j, su, sv, pts)
     lines = [realize_variant(P, *e) for e in zip(*(v.tolist() for v in (i, j, su, sv)))]
-    R = line_signs(P, lines)
+    R = LineSet.of(lines).signs(P)
     flip = R[i, E] * su  # the realized line's orientation against the base line's
     assert V.dtype == np.int8 and np.all(np.abs(flip) == 1)
     assert np.array_equal(V, (R * flip)[pts])
@@ -259,7 +259,7 @@ def test_pair_hits_match_exact_signs(make, collinear):
         P = make(seed)
         cand = candidate_lines(P)
         grouped += len(cand.groups)
-        S = line_signs(P, cand.lines())
+        S = LineSet.of(cand.lines()).signs(P)
         for i in range(len(P)):
             for j in range(i + 1, len(P)):
                 want = np.flatnonzero(S[i] != S[j])
