@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .geom import CanonicalLine, Point, sign
+from .geom import CanonicalLine, Point, canonical_ints, sign
 
 PairId = Tuple[int, int]
 
@@ -203,26 +203,31 @@ class PointSet:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-# Pairs per block of `candidate_lines`: bounds its Python-int temporaries.
+# Pairs per block of `candidate_lines`: bounds its temporaries.
 _PAIR_BLOCK = 1 << 16
+
+
+def _directions(P: PointSet, I: np.ndarray, J: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The reduced directions (p, q) = (Y_j - Y_i, X_i - X_j) / h of the
+    lines through points I[k] and J[k] of P, h = gcd(p, q) signed so that
+    p > 0 or p = 0 < q: int64 arrays, or object arrays when P.int_arrays are."""
+    X, Y = P.int_arrays[:2]
+    p, q = Y[J] - Y[I], X[I] - X[J]
+    h = np.gcd(p, q)
+    h[(p < 0) | ((p == 0) & (q < 0))] *= -1
+    return p // h, q // h
 
 
 def _line_coeffs(P: PointSet, I: np.ndarray, J: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Canonical coefficients (a, b, c) of the lines through points I[k]
-    and J[k] of P, the same as int_line_through, in int64 arrays when
-    every value fits and in object arrays of Python ints otherwise.
-
-    With (p, q) = (Y_j - Y_i, X_i - X_j) / h, h = gcd(p, q) signed so that
-    p > 0 or p = 0 < q, and c = -(p*X_i + q*Y_i), the line is
-    (p*D, q*D, c) / g with g = gcd(D, c): gcd(p, q) = 1, so g is the gcd
-    of all three."""
+    and J[k] of P, the same as int_line_through, read on demand: int64
+    arrays when every value fits, object arrays of Python ints otherwise.
+    With (p, q) = _directions(P, I, J) and c = -(p*X_i + q*Y_i), the line
+    is (p*D, q*D, c) / g, g = gcd(D, c): gcd(p, q) = 1, so g is the gcd of
+    all three."""
     d = P.int_coords()[2]
     X, Y, xmax, ymax = P.int_arrays
-    xi, yi = X[I], Y[I]
-    p, q = Y[J] - yi, xi - X[J]
-    h = np.gcd(p, q)
-    h[(p < 0) | ((p == 0) & (q < 0))] *= -1
-    p, q = p // h, q // h
+    (p, q), xi, yi = _directions(P, I, J), X[I], Y[I]
     M = max(xmax, ymax)
     if 4 * M * M >= 2 ** 63 or 2 * M * d >= 2 ** 63:
         p, q, xi, yi = (v.astype(object) for v in (p, q, xi, yi))
@@ -230,6 +235,32 @@ def _line_coeffs(P: PointSet, I: np.ndarray, J: np.ndarray) -> Tuple[np.ndarray,
     g = np.gcd(c, d)
     e = d // g
     return p * e, q * e, c // g
+
+
+def _line_floats(P: PointSet, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """float_array of each row of _line_coeffs(P, I, J), bit for bit, as a (3, k)
+    matrix: in int64 limbs when |X|, |Y| < 2^40 and D <= 2^40 (the limb regime)."""
+    d = P.int_coords()[2]
+    X, Y, xmax, ymax = P.int_arrays
+    if max(xmax, ymax) >= 2 ** 40 or d > 2 ** 40:
+        return np.array([float_array(v) for v in _line_coeffs(P, I, J)])
+    # |p|, |q| < 2^41, and X_i = (X_i >> 20)*2^20 + (X_i & 0xFFFFF) with both
+    # parts at most 2^20 in magnitude, Y_i alike: c0 = -(p*X_i + q*Y_i) is
+    # H*2^20 + L with |H|, |L| < 2^62. g = gcd(c0 mod D, D) comes from
+    # ((H mod D) << 20) + L mod D < 2^61; c0 / g = (H // g)*2^20 + R with
+    # R = (((H mod g) << 20) + L) // g, |numerator| < 2^60 + 2^62. a = p*e,
+    # e = D / g <= 2^40, is (p >> 20)*e*2^20 + (p & 0xFFFFF)*e, each below 2^61.
+    (p, q), xi, yi = _directions(P, I, J), X[I], Y[I]
+    H = -(p * (xi >> 20) + q * (yi >> 20))
+    L = -(p * (xi & 0xFFFFF) + q * (yi & 0xFFFFF))
+    g = np.gcd(((H % d) << 20) + L % d, d)
+    e = d // g
+    hi = np.array([(p >> 20) * e, (q >> 20) * e, H // g])
+    lo = np.array([(p & 0xFFFFF) * e, (q & 0xFFFFF) * e, (((H % g) << 20) + L) // g])
+    # Each value hi*2^20 + lo is U*2^32 + V with |U| < 2^51 and 0 <= V < 2^32:
+    # fl(U)*2^32 and fl(V) are exact, so their sum rounds once, correctly.
+    t = hi + (lo >> 20)
+    return (t >> 12).astype(np.float64) * 2.0 ** 32 + (((t & 0xFFF) << 20) + (lo & 0xFFFFF))
 
 
 class LineSet:
@@ -352,10 +383,10 @@ def candidate_lines(P: PointSet) -> CandidateLines:
     """All distinct lines through pairs of P, numbered in the order of
     their first pair (i, j), i < j, lexicographic.
 
-    The exact coefficients of all pairs are computed in numpy, a block of
-    pairs at a time, and kept only as float columns. Equal lines have
-    equal floats, so only pairs whose three floats tie with another
-    pair's are compared exactly, and grouped."""
+    The float columns of all pairs are computed in numpy, a block of
+    pairs at a time (``_line_floats``); the exact coefficients are not
+    kept. Equal lines have equal float rows, so only pairs whose rows'
+    bits hash alike are compared exactly, and grouped."""
     n = len(P)
     if n < 2:
         raise TooFewPointsError(f"need at least 2 points, got {n}")
@@ -363,12 +394,11 @@ def candidate_lines(P: PointSet) -> CandidateLines:
     ABC = np.empty((3, len(I)))
     for lo in range(0, len(I), _PAIR_BLOCK):
         blk = slice(lo, lo + _PAIR_BLOCK)
-        ABC[:, blk] = [float_array(v) for v in _line_coeffs(P, I[blk], J[blk])]
-    order = np.lexsort(ABC[::-1])
-    tied = np.ones(len(order) - 1, dtype=bool)
-    for V in ABC:
-        s = V[order]
-        tied &= (s[1:] == s[:-1]) | (np.isnan(s[1:]) & np.isnan(s[:-1]))
+        ABC[:, blk] = _line_floats(P, I[blk], J[blk])
+    U = ABC.view(np.uint64)  # the one NaN of float_array has one bit pattern
+    key = U[0] * np.uint64(0x9E3779B97F4A7C15) ^ U[1] * np.uint64(0xBF58476D1CE4E5B9) ^ U[2]
+    order = np.argsort(key)
+    tied = key[order][1:] == key[order][:-1]
     if not tied.any():
         return CandidateLines(P, I, J, ABC)
     suspects = np.unique(np.r_[order[:-1][tied], order[1:][tied]])
@@ -470,6 +500,27 @@ def _split_block(cls, signs, row, mode, *carry):
     return cls, carry
 
 
+def _parallel_families(lines: LineSet) -> Dict[Tuple[int, int], Dict[Tuple[int, int], int]]:
+    """Direction (a, b) / gcd(a, b) -> {(gcd(a, b), c): first index} of the
+    distinct lines, directions in first-index order. Lines given by pairs
+    take their directions from ``_directions``, repeated pairs dropped, and
+    (g, c) only in directions of two or more (a lone one has key None)."""
+    fams: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
+    if lines.E is None:  # keyed by index until the shared directions' (g, c) are read
+        ks = np.sort(np.unique(lines.I * len(lines.P) + lines.J, return_index=True)[1])
+        p, q = (v.tolist() for v in _directions(lines.P, lines.I[ks], lines.J[ks]))
+        for k, pq in zip(ks.tolist(), zip(p, q)):
+            fams.setdefault(pq, {})[k] = k
+        shared = [k for fam in fams.values() if len(fam) > 1 for k in fam]
+        a, b, c = lines.coeffs(shared)
+        gc = dict(zip(shared, zip(map(math.gcd, a, b), c)))
+        return {pq: {gc.get(k): k for k in reversed(fam)} for pq, fam in fams.items()}
+    a, b, c = lines.coeffs()
+    for k, (ak, bk, ck, gk) in enumerate(zip(a, b, c, map(math.gcd, a, b))):
+        fams.setdefault((ak // gk, bk // gk), {}).setdefault((gk, ck), k)
+    return fams
+
+
 def refine(P: PointSet, lines, mode: SeparationMode) -> List[np.ndarray]:
     """The classes of two or more points the lines (a LineSet, or
     CanonicalLines) leave together, each as a sorted index array.
@@ -493,11 +544,7 @@ def refine(P: PointSet, lines, mode: SeparationMode) -> List[np.ndarray]:
     if n <= 1:
         return []
     lines = LineSet.of(lines)
-    a, b, c = lines.coeffs()
-    # direction (a, b) / g -> {(g, c): first index} of its distinct lines
-    fams: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
-    for k, (ak, bk, ck, gk) in enumerate(zip(a, b, c, map(math.gcd, a, b))):
-        fams.setdefault((ak // gk, bk // gk), {}).setdefault((gk, ck), k)
+    fams = _parallel_families(lines)
     pid = np.arange(n)
     cls = np.zeros(n, dtype=np.int64)
     singles = []
@@ -567,34 +614,30 @@ def split_line(
     return CanonicalLine.from_ints(*coeffs), order[:cut], order[cut:]
 
 
-def rotate_line(
-    P: PointSet, line: CanonicalLine, g: Tuple[int, int, int], k: int, s: int, cap: bool
-) -> CanonicalLine:
-    """The line f + t*h that keeps the strict side of every point of P off
-    the line f, with h(x, y) = (g0*X + g1*Y + g2) / k at X = D*x, Y = D*y
-    (D the common denominator of P, k > 0) and sign(t) = s. |t| is the
-    least of |f(p)| / (2(|h(p)| + 1)) over the points off f, or 1 if there
-    are none; with ``cap`` it is at most 1. Exact, in integers."""
+def rotate_line(P: PointSet, abc: Tuple[int, int, int], vals: Sequence[int],
+                g: Tuple[int, int, int], k: int, cap: bool) -> Tuple[Tuple[int, int, int], ...]:
+    """The canonical coefficients of the lines f + t*h, sign(t) = -1 and
+    +1, that keep the strict side of every point of P off the line f with
+    coefficients ``abc`` and D*f(p) = ``vals`` at the points of P, with
+    h(x, y) = (g0*X + g1*Y + g2) / k at X = D*x, Y = D*y (D the common
+    denominator of P, k > 0). |t| is the least of |f(p)| / (2(|h(p)| + 1))
+    over the points off f, or 1 if there are none; with ``cap`` it is at
+    most 1. Exact, in integers."""
     xs, ys, d = P.int_coords()
-    a, b, c = line.coeffs()
-    g0, g1, g2 = g
+    (a, b, c), (g0, g1, g2) = abc, g
     # With V = D*f(p) and G = k*h(p) at a point, the point's bound is
     # |V| * k / (2D(|G| + k)); num / den is the least |V| / (|G| + k).
     num, den = 0, 0
-    for x, y in zip(xs, ys):
-        v = abs(a * x + b * y + c * d)
+    for v, x, y in zip(vals, xs, ys):
         if v:
-            w = abs(g0 * x + g1 * y + g2) + k
+            v, w = abs(v), abs(g0 * x + g1 * y + g2) + k
             if not den or v * den < num * w:
                 num, den = v, w
     if not den or (cap and num * k > 2 * d * den):
-        num, den = 2 * d, k  # t = s
+        num, den = 2 * d, k  # |t| = 1
     # t = s * num * k / (2D * den); the coefficients of f + t*h times 2D * den.
-    return CanonicalLine.from_ints(
-        d * (2 * a * den + s * num * g0),
-        d * (2 * b * den + s * num * g1),
-        2 * c * d * den + s * num * g2,
-    )
+    return tuple(canonical_ints(d * (2 * a * den + s * num * g0), d * (2 * b * den + s * num * g1),
+                                2 * c * d * den + s * num * g2) for s in (-1, 1))
 
 
 def _rotate_off_points(P: PointSet, line: CanonicalLine) -> CanonicalLine:
@@ -603,12 +646,13 @@ def _rotate_off_points(P: PointSet, line: CanonicalLine) -> CanonicalLine:
     point off it."""
     xs, ys, d = P.int_coords()
     a, b, c = line.coeffs()
+    vals = [a * x + b * y + c * d for x, y in zip(xs, ys)]  # D * value
     # D times the position along the line, direction (-b, a), of each
     # point on it; the pivot lies one unit before the first of them.
-    along = [a * y - b * x for x, y in zip(xs, ys) if a * x + b * y + c * d == 0]
+    along = [a * y - b * x for x, y, v in zip(xs, ys, vals) if v == 0]
     if not along:
         return line
-    return rotate_line(P, line, (-b, a, d - min(along)), d, 1, False)
+    return CanonicalLine(*rotate_line(P, (a, b, c), vals, (-b, a, d - min(along)), d, False)[1])
 
 
 def properize(lines: Sequence[CanonicalLine], P: PointSet) -> List[CanonicalLine]:

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import CanonicalLine, int_line_through, sign
+from .geom import CanonicalLine, canonical_ints, int_line_through, sign
 from .sepsys import (
     CandidateLines,
     GeneralPositionError,
@@ -142,31 +143,41 @@ class WeightState:
 # variant realization
 
 
-def realize_variant(
-    P: PointSet, u: int, v: int, su: int, sv: int
-) -> CanonicalLine:
-    """Concrete line realizing the (su, sv) variant of the line through
-    P[u], P[v]: points u and v get sides su and sv (0 = on the line) and
-    every point strictly off the base line keeps its side."""
+def realize_variants(
+    P: PointSet, u: int, v: int, variants: Sequence[Tuple[int, int]]
+) -> List[Tuple[int, int, int]]:
+    """Canonical coefficients of the (su, sv) variants of the line through
+    P[u], P[v]: u and v get sides su and sv (0 = on the line), and every
+    point off the base line keeps its side. The base line's values at P,
+    the translation and each rotation's bound are computed once for all."""
     xs, ys, d = P.int_coords()
-    base = CanonicalLine(*int_line_through(xs[u], ys[u], xs[v], ys[v], d))
-    if su == 0 and sv == 0:
-        return base
-    a, b, c = base.coeffs()
-    if su == sv:  # translate by half the least |value| off the line (1 if none)
-        vals = (abs(a * x + b * y + c * d) for x, y in zip(xs, ys))  # D * |value|
-        delta = min((w for w in vals if w), default=2 * d)
-        return CanonicalLine.from_ints(2 * d * a, 2 * d * b, 2 * d * c + su * delta)
-    # Rotate by base + t*h with h(p) = dir . (p - pivot). h at the moving
-    # point is |dir|^2 > 0, so sign(t) is the side it must reach.
-    if su == 0 or sv == 0:  # about the point staying on the line
-        p, q, s = (u, v, sv) if su == 0 else (v, u, su)
-        gx, gy = xs[q] - xs[p], ys[q] - ys[p]
-        return rotate_line(P, base, (gx, gy, -(gx * xs[p] + gy * ys[p])), d * d, s, True)
-    # opposite sides: about the midpoint, toward P[u]
-    gx, gy = xs[u] - xs[v], ys[u] - ys[v]
-    h0 = -(gx * (xs[u] + xs[v]) + gy * (ys[u] + ys[v]))
-    return rotate_line(P, base, (2 * gx, 2 * gy, h0), 4 * d * d, su, True)
+    a, b, c = base = int_line_through(xs[u], ys[u], xs[v], ys[v], d)
+    vals = [a * x + b * y + c * d for x, y in zip(xs, ys)]  # D * value
+
+    @cache
+    def move(su: int, sv: int):
+        """The (t < 0, t > 0) lines of the move whose t > 0 line is (su, sv)."""
+        if su == sv:  # translate by half the least |value| off the line (1 if none); (0, 0) by 0
+            delta = su and min((abs(w) for w in vals if w), default=2 * d)
+            return [canonical_ints(2 * d * a, 2 * d * b, 2 * d * c + s * delta) for s in (-1, 1)]
+        # Rotate by base + t*h with h(p) = dir . (p - pivot). h at the moving
+        # point is |dir|^2 > 0, so sign(t) is the side it must reach.
+        if su == 0 or sv == 0:  # about the point staying on the line
+            p, q = (u, v) if su == 0 else (v, u)
+            gx, gy = xs[q] - xs[p], ys[q] - ys[p]
+            return rotate_line(P, base, vals, (gx, gy, -(gx * xs[p] + gy * ys[p])), d * d, True)
+        # opposite sides: about the midpoint, toward P[u]
+        gx, gy = xs[u] - xs[v], ys[u] - ys[v]
+        h0 = -(gx * (xs[u] + xs[v]) + gy * (ys[u] + ys[v]))
+        return rotate_line(P, base, vals, (2 * gx, 2 * gy, h0), 4 * d * d, True)
+
+    # (su, sv) is the sign(t) = (su or sv) line of the move (su, sv) * sign(t).
+    return [move(su * (su or sv), sv * (su or sv))[(su or sv) > 0] for su, sv in variants]
+
+
+def realize_variant(P: PointSet, u: int, v: int, su: int, sv: int) -> CanonicalLine:
+    """The (su, sv) variant of the line through P[u], P[v] (realize_variants)."""
+    return CanonicalLine(*realize_variants(P, u, v, [(su, sv)])[0])
 
 
 def variant_signs(
@@ -240,16 +251,19 @@ def _exact_pool(P: PointSet, mode: SeparationMode) -> Tuple[List[CanonicalLine],
     dominance-filtered. Returns (lines, H): the kept lines in coefficient
     order, and the bool matrix H of pairs (in P.pairs() order) x kept
     lines, H[k, e] iff line e separates pair k."""
-    pairs = P.pairs()
     variants = _STRICT_VARIANTS if mode is SeparationMode.STRICT else _RELAXED_VARIANTS
-    pool = [realize_variant(P, i, j, su, sv) for i, j in pairs for su, sv in variants]
-    S = LineSet.of(pool).signs(P)
-    I, J = np.array(pairs).T
+    pool = [abc for i, j in P.pairs() for abc in realize_variants(P, i, j, variants)]
+    cand = candidate_lines(P)
+    L, I, J = cand.incidences()  # every pair, in P.pairs() order
+    p, var = np.divmod(np.arange(len(pool)), len(variants))
+    su, sv = np.array(variants, dtype=np.int8)[var].T
+    # A hit test does not change when canonicalization flips a line.
+    S = variant_signs(cand, L[p], I[p], J[p], su, sv, np.arange(len(P)))
     hit = S[I] * S[J] == -1 if mode is SeparationMode.STRICT else S[I] != S[J]
     masks = _bits(hit.T)
     # The first line in coefficient order of each distinct nonzero mask.
     first: Dict[int, int] = {}
-    for e in sorted(range(len(pool)), key=lambda e: pool[e].coeffs()):
+    for e in sorted(range(len(pool)), key=pool.__getitem__):
         if masks[e]:
             first.setdefault(masks[e], e)
     ids = np.array(list(first.values()), dtype=np.int64)
@@ -259,7 +273,7 @@ def _exact_pool(P: PointSet, mode: SeparationMode) -> Tuple[List[CanonicalLine],
     F = H.astype(np.float32)
     size = F.sum(axis=0)
     dominated = ((F.T @ F == size[:, None]) & (size > size[:, None])).any(axis=1)
-    return [pool[e] for e in ids[~dominated].tolist()], H[:, ~dominated]
+    return [CanonicalLine(*pool[e]) for e in ids[~dominated].tolist()], H[:, ~dominated]
 
 
 def _capacity(t: int, mode: SeparationMode) -> int:

@@ -2,15 +2,20 @@
 replaced: one `int_line_through` key per pair in a dict, one
 `CanonicalLine` per distinct line. Same lines in the same order, same
 incident pairs, bit-identical float columns (NaN positions included),
-and the same canonical-coefficient order. A guard keeps the solvers from
-building one `CanonicalLine` per candidate again."""
+and the same canonical-coefficient order, also on both sides of the int64
+limb regime of the float columns. Guards keep the solvers from building
+one `CanonicalLine` per candidate or pool variant again, and the 2^40
+grid's float columns from passing through Python ints."""
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seplines import solvers
+from seplines import sepsys, solvers
+from seplines.experiments import random_points
 from seplines.geom import CanonicalLine, int_line_through
 from seplines.sepsys import LineSet, PointSet, SeparationMode, candidate_lines, float_array
 
@@ -71,14 +76,34 @@ def cases():
          (3, 12, 3, 4)]
     )
     yield "unreduced-common-denominator", points([(2, 4), (6, 8), (10, 4), (4, 4), (8, 2)], den=12)
+    # The int64 limb regime of the float columns is |X|, |Y| < 2^40 and D <= 2^40.
+    top = 2 ** 40 - 1
+    edge = [(top, -top), (-top, top), (top, top - 3), (-top, -top + 5), (1, 0), (0, -1), (-7, 3)]
+    yield "regime-inside", points(edge)
+    yield "regime-inside-D-2^40", points(edge, den=2 ** 40)
+    yield "regime-outside", points([(x + (x > 0) - (x < 0), y) for x, y in edge])
+    yield "regime-outside-D", points(edge[4:] + [(2, 2), (5, -3)], den=2 ** 40 + 1)
+    D = 3 ** 25  # below 2^40 and not a power of two
+    yield "D-3^25", points([(rng.randrange(-D, D), rng.randrange(-D, D)) for _ in range(30)], den=D)
+    # gcd(c0, D) > 1 on coordinates sharing factors with D, and D | c0 on
+    # lines through two points of integer coordinates (X, Y multiples of D).
+    yield "D-3^25-shared-factors", points(
+        [(3 ** 10 * rng.randrange(-3 ** 14, 3 ** 14), 3 ** rng.randrange(0, 16)) for _ in range(20)]
+        + [(D * x, D * y) for x, y in [(0, 0), (1, 0), (0, 1), (-1, 1), (1, -1)]] + [(1, 1)],
+        den=D,
+    )
+    yield "collinear-2^40-grid", points(
+        [(1 + k * 3 * 2 ** 30, 5 + k * 2 ** 31) for k in range(0, 300, 37)]
+        + [(2 ** 39 + k * 2 ** 35, 2 ** 38) for k in range(6)]
+        + [(rng.getrandbits(40), rng.getrandbits(40)) for _ in range(12)],
+        den=2 ** 40,
+    )
 
 
 CASES = dict(cases())
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_candidate_lines_match_pair_loop(name):
-    P = CASES[name]
+def check_against_pair_loop(P):
     ref = reference_candidates(P)
     cand = candidate_lines(P)
     assert len(cand) == len(ref)
@@ -90,6 +115,48 @@ def test_candidate_lines_match_pair_loop(name):
         want = float_array([abc[col] for abc in ref])
         assert V.dtype == np.float64
         assert V.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_candidate_lines_match_pair_loop(name):
+    check_against_pair_loop(CASES[name])
+
+
+def test_regime_cases_take_both_paths():
+    """The edge cases sit on both sides of the limb regime; their lines
+    have gcd(c0, D) > 1, D | c0 and collinear groups on the 2^40 grid."""
+    inside = ["regime-inside", "regime-inside-D-2^40", "D-3^25", "D-3^25-shared-factors",
+              "collinear-2^40-grid"]
+    for name in inside + ["regime-outside", "regime-outside-D"]:
+        X, Y, xmax, ymax = CASES[name].int_arrays
+        d = CASES[name].int_coords()[2]
+        assert (max(xmax, ymax) < 2 ** 40 and d <= 2 ** 40) == (name in inside), name
+    assert CASES["D-3^25"].int_coords()[2] == 3 ** 25
+    assert CASES["collinear-2^40-grid"].int_coords()[2] == 2 ** 40
+    assert candidate_lines(CASES["collinear-2^40-grid"]).groups
+    P = CASES["D-3^25-shared-factors"]
+    xs, ys, d = P.int_coords()
+    g = [math.gcd(x * (ys[j] - y) - y * (xs[j] - x), d) for j in range(len(xs))
+         for x, y in zip(xs[:j], ys[:j])]
+    assert any(1 < v < d for v in g) and d in g
+
+
+@st.composite
+def shifted_grid_subsets(draw):
+    """Points of random_points(48, seed) shifted by whole multiples of
+    the grid unit, toward or past the regime's edge at |X|, |Y| = 2^40."""
+    seed = draw(st.integers(0, 3))
+    xs, ys, d = random_points(48, seed).int_coords()
+    idx = draw(st.lists(st.integers(0, 47), min_size=2, max_size=12, unique=True))
+    sx, sy = (draw(st.integers(-2 ** 41, 2 ** 40)) for _ in range(2))
+    return PointSet.from_ratios([xs[i] + sx for i in idx], [d] * len(idx),
+                                [ys[i] + sy for i in idx], [d] * len(idx))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(shifted_grid_subsets())
+def test_candidate_lines_on_shifted_grid_subsets(P):
+    check_against_pair_loop(P)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -134,6 +201,41 @@ def test_solvers_build_no_line_object_per_candidate(monkeypatch):
     count[0] = 0
     res = solvers.reweight_approx(P, seed=0)
     assert 0 < count[0] <= len(res.lines)
+
+
+def test_candidate_lines_on_the_grid_take_no_python_ints(monkeypatch):
+    """On the 2^40 grid the float columns come from int64 limbs: no pair
+    passes through the Python-int coefficients of _line_coeffs."""
+    entries = [0]
+    line_coeffs = sepsys._line_coeffs
+
+    def counting(P, I, J):
+        entries[0] += len(I)
+        return line_coeffs(P, I, J)
+
+    monkeypatch.setattr(sepsys, "_line_coeffs", counting)
+    for seed in range(3):
+        cand = candidate_lines(random_points(300, seed))
+        assert len(cand) == math.comb(300, 2)
+    assert entries[0] == 0
+
+
+def test_exact_pool_builds_only_the_lines_it_returns(monkeypatch):
+    """_exact_pool realizes every variant as coefficient tuples and builds
+    CanonicalLine objects only for the lines it returns."""
+    count = [0]
+    post_init = CanonicalLine.__post_init__
+
+    def counting(self):
+        count[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(CanonicalLine, "__post_init__", counting)
+    for P in (random_points(14, 5), grid(3), CASES["collinear-triples"]):
+        for mode in (SeparationMode.STRICT, SeparationMode.RELAXED):
+            count[0] = 0
+            lines, _ = solvers._exact_pool(P, mode)
+            assert 0 < count[0] <= len(lines)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -18,10 +18,12 @@ from seplines.experiments import max_face_load, random_points
 from seplines.geom import CanonicalLine, Point, sign
 from seplines.sepsys import (
     _KERNEL_THRESHOLD,
+    LineSet,
     PointSet,
     SeparationMode,
     _family_slots,
     _split_block,
+    candidate_lines,
     find_unseparated_pair,
     key_groups,
     refine,
@@ -343,3 +345,28 @@ def test_family_slots_one_factor_past_int64(case):
     lo, hi = _family_slots(P, pts, direction, scales_and_offsets(fam))
     assert (lo.tolist(), hi.tolist()) == brute_family_slots(P, pts, fam)
     assert find_unseparated_pair(P, fam, STRICT) is None
+
+
+def pair_sample_cases():
+    """(P, idx): candidate-line indices, with repeats, drawn on grids with
+    parallel families and on the 2^40 grid, past 2^62 and in general."""
+    rng = np.random.default_rng(27)
+    grids = [PointSet([Point(x, y) for x in range(k) for y in range(k)]) for k in (3, 5, 7)]
+    big = PointSet([Point(x * 10 ** 25 + 1, y * 10 ** 25) for x in range(4) for y in range(4)])
+    for P in grids + [big, random_points(60, 3), random_points(200, 4)]:
+        m = len(candidate_lines(P))
+        for size in (1, 5, m // 3 + 1, 2 * m):
+            yield P, rng.integers(0, m, size)
+        yield P, np.arange(m)
+
+
+@pytest.mark.parametrize("mode", [STRICT, RELAXED], ids=["strict", "relaxed"])
+def test_refine_by_pairs_matches_refine_by_coefficients(mode):
+    """refine of candidate lines given by point pairs, whose parallel
+    families come from int64 directions, returns the same list as refine
+    of the same lines given by their exact coefficients."""
+    for P, idx in pair_sample_cases():
+        cand = candidate_lines(P)
+        got = refine(P, cand[idx], mode)
+        want = refine(P, LineSet.of(cand.lines(idx)), mode)
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]

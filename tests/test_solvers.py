@@ -89,19 +89,26 @@ def variant_cases(draw):
 @given(variant_cases())
 def test_variant_signs_match_realized_variants(case):
     """variant_signs gives the signs of the line realize_variant builds, for
-    every incident pair of every candidate line and each strict variant,
-    negated where canonicalization flips the realized line."""
+    every incident pair of every candidate line and each of the nine
+    relaxed variants (the strict four among them), negated where
+    canonicalization flips the realized line. The orientation is read at
+    a point off the base line, which keeps its side; when the base line
+    holds every point, at i (or j if su = 0), which gets side su (sv)."""
     P, pts = case
     cand = candidate_lines(P)
     L, I, J = cand.incidences()
-    E = np.arange(4 * len(L))
-    i, j = I[E // 4], J[E // 4]
-    su, sv = np.array([(-1, -1), (-1, 1), (1, -1), (1, 1)], dtype=np.int8)[E % 4].T
-    V = variant_signs(cand, L[E // 4], i, j, su, sv, pts)
+    E = np.arange(9 * len(L))
+    i, j = I[E // 9], J[E // 9]
+    su, sv = np.array(solvers._RELAXED_VARIANTS, dtype=np.int8)[E % 9].T
+    V = variant_signs(cand, L[E // 9], i, j, su, sv, pts)
     lines = [realize_variant(P, *e) for e in zip(*(v.tolist() for v in (i, j, su, sv)))]
     R = LineSet.of(lines).signs(P)
-    flip = R[i, E] * su  # the realized line's orientation against the base line's
-    assert V.dtype == np.int8 and np.all(np.abs(flip) == 1)
+    base = cand.signs(P)[:, L[E // 9]]
+    on = (base == 0).all(axis=0)  # the base line holds every point
+    k = np.where(on, np.where(su != 0, i, j), np.argmax(base != 0, axis=0))
+    flip = R[k, E] * np.where(on, su + sv * (su == 0), base[k, E])
+    assert V.dtype == np.int8
+    assert np.all((np.abs(flip) == 1) | (on & (su == 0) & (sv == 0)))
     assert np.array_equal(V, (R * flip)[pts])
 
 
