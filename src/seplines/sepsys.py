@@ -244,23 +244,23 @@ def _line_floats(P: PointSet, I: np.ndarray, J: np.ndarray) -> np.ndarray:
     X, Y, xmax, ymax = P.int_arrays
     if max(xmax, ymax) >= 2 ** 40 or d > 2 ** 40:
         return np.array([float_array(v) for v in _line_coeffs(P, I, J)])
-    # |p|, |q| < 2^41, and X_i = (X_i >> 20)*2^20 + (X_i & 0xFFFFF) with both
-    # parts at most 2^20 in magnitude, Y_i alike: c0 = -(p*X_i + q*Y_i) is
-    # H*2^20 + L with |H|, |L| < 2^62. g = gcd(c0 mod D, D) comes from
-    # ((H mod D) << 20) + L mod D < 2^61; c0 / g = (H // g)*2^20 + R with
-    # R = (((H mod g) << 20) + L) // g, |numerator| < 2^60 + 2^62. a = p*e,
-    # e = D / g <= 2^40, is (p >> 20)*e*2^20 + (p & 0xFFFFF)*e, each below 2^61.
+    # |p|, |q| < 2^41 and e = D / g <= 2^40 are exact doubles, so one float
+    # multiply rounds a = p*e and b = q*e once, correctly. X_i = (X_i >> 20)*2^20
+    # + (X_i & 0xFFFFF) with both parts at most 2^20 in magnitude, Y_i alike:
+    # c0 = -(p*X_i + q*Y_i) is H*2^20 + L with |H|, |L| < 2^62. g = gcd(c0 mod D,
+    # D) comes from ((H mod D) << 20) + L mod D < 2^61, and c = c0 / g is
+    # (H // g)*2^20 + R with R = (((H mod g) << 20) + L) // g, |numerator| <
+    # 2^60 + 2^62. As U*2^32 + V with |U| < 2^51 and 0 <= V < 2^32, fl(U)*2^32
+    # and fl(V) are exact, so their sum rounds c once, correctly.
     (p, q), xi, yi = _directions(P, I, J), X[I], Y[I]
     H = -(p * (xi >> 20) + q * (yi >> 20))
     L = -(p * (xi & 0xFFFFF) + q * (yi & 0xFFFFF))
     g = np.gcd(((H % d) << 20) + L % d, d)
-    e = d // g
-    hi = np.array([(p >> 20) * e, (q >> 20) * e, H // g])
-    lo = np.array([(p & 0xFFFFF) * e, (q & 0xFFFFF) * e, (((H % g) << 20) + L) // g])
-    # Each value hi*2^20 + lo is U*2^32 + V with |U| < 2^51 and 0 <= V < 2^32:
-    # fl(U)*2^32 and fl(V) are exact, so their sum rounds once, correctly.
-    t = hi + (lo >> 20)
-    return (t >> 12).astype(np.float64) * 2.0 ** 32 + (((t & 0xFFF) << 20) + (lo & 0xFFFFF))
+    e = (d // g).astype(np.float64)
+    R = (((H % g) << 20) + L) // g
+    t = H // g + (R >> 20)
+    c = (t >> 12).astype(np.float64) * 2.0 ** 32 + (((t & 0xFFF) << 20) + (R & 0xFFFFF))
+    return np.array([p * e, q * e, c])
 
 
 class LineSet:
@@ -500,27 +500,6 @@ def _split_block(cls, signs, row, mode, *carry):
     return cls, carry
 
 
-def _parallel_families(lines: LineSet) -> Dict[Tuple[int, int], Dict[Tuple[int, int], int]]:
-    """Direction (a, b) / gcd(a, b) -> {(gcd(a, b), c): first index} of the
-    distinct lines, directions in first-index order. Lines given by pairs
-    take their directions from ``_directions``, repeated pairs dropped, and
-    (g, c) only in directions of two or more (a lone one has key None)."""
-    fams: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
-    if lines.E is None:  # keyed by index until the shared directions' (g, c) are read
-        ks = np.sort(np.unique(lines.I * len(lines.P) + lines.J, return_index=True)[1])
-        p, q = (v.tolist() for v in _directions(lines.P, lines.I[ks], lines.J[ks]))
-        for k, pq in zip(ks.tolist(), zip(p, q)):
-            fams.setdefault(pq, {})[k] = k
-        shared = [k for fam in fams.values() if len(fam) > 1 for k in fam]
-        a, b, c = lines.coeffs(shared)
-        gc = dict(zip(shared, zip(map(math.gcd, a, b), c)))
-        return {pq: {gc.get(k): k for k in reversed(fam)} for pq, fam in fams.items()}
-    a, b, c = lines.coeffs()
-    for k, (ak, bk, ck, gk) in enumerate(zip(a, b, c, map(math.gcd, a, b))):
-        fams.setdefault((ak // gk, bk // gk), {}).setdefault((gk, ck), k)
-    return fams
-
-
 def refine(P: PointSet, lines, mode: SeparationMode) -> List[np.ndarray]:
     """The classes of two or more points the lines (a LineSet, or
     CanonicalLines) leave together, each as a sorted index array.
@@ -544,7 +523,11 @@ def refine(P: PointSet, lines, mode: SeparationMode) -> List[np.ndarray]:
     if n <= 1:
         return []
     lines = LineSet.of(lines)
-    fams = _parallel_families(lines)
+    a, b, c = lines.coeffs()
+    # direction (a, b) / g -> {(g, c): first index} of its distinct lines
+    fams: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
+    for k, (ak, bk, ck, gk) in enumerate(zip(a, b, c, map(math.gcd, a, b))):
+        fams.setdefault((ak // gk, bk // gk), {}).setdefault((gk, ck), k)
     pid = np.arange(n)
     cls = np.zeros(n, dtype=np.int64)
     singles = []

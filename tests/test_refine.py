@@ -362,9 +362,9 @@ def pair_sample_cases():
 
 @pytest.mark.parametrize("mode", [STRICT, RELAXED], ids=["strict", "relaxed"])
 def test_refine_by_pairs_matches_refine_by_coefficients(mode):
-    """refine of candidate lines given by point pairs, whose parallel
-    families come from int64 directions, returns the same list as refine
-    of the same lines given by their exact coefficients."""
+    """refine of candidate lines given by point pairs, whose exact
+    coefficients come from the pairs, returns the same list as refine of
+    the same lines given by their coefficients."""
     for P, idx in pair_sample_cases():
         cand = candidate_lines(P)
         got = refine(P, cand[idx], mode)
